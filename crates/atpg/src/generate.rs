@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl_netlist::{Netlist, PatternSeq};
 
 use crate::podem::{Podem, PodemOutcome};
@@ -131,7 +131,14 @@ pub fn generate_patterns(netlist: &Netlist, config: &AtpgConfig) -> AtpgResult {
                     AtpgDropMode::FullFaultSim => {
                         let mut seq = PatternSeq::new(width);
                         seq.push_bits(patterns.len() as u64, &bits);
-                        fault_simulate(netlist, &seq, &mut list, &sim_cfg);
+                        fault_simulate(
+                            netlist,
+                            &seq,
+                            &mut list,
+                            &sim_cfg,
+                            None,
+                            &SimGuide::default(),
+                        );
                     }
                     AtpgDropMode::TargetOnly => {
                         list.begin_run();
@@ -155,7 +162,14 @@ pub fn generate_patterns(netlist: &Netlist, config: &AtpgConfig) -> AtpgResult {
             seq.push_bits(i as u64, bits);
         }
         list = FaultList::new(&universe);
-        fault_simulate(netlist, &seq, &mut list, &sim_cfg);
+        fault_simulate(
+            netlist,
+            &seq,
+            &mut list,
+            &sim_cfg,
+            None,
+            &SimGuide::default(),
+        );
     }
 
     let detected = list.detected().count();

@@ -727,13 +727,20 @@ mod tests {
     fn check_test_detects(netlist: &Netlist, fault: Fault, pis: &[Option<bool>]) {
         // Verify with the fault simulator: the vector (X -> 0) must detect
         // the fault.
-        use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig};
+        use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, SimGuide};
         let u = FaultUniverse::enumerate(netlist);
         let mut list = FaultList::new(&u);
         let mut p = warpstl_netlist::PatternSeq::new(netlist.inputs().width());
         let bits: Vec<bool> = pis.iter().map(|b| b.unwrap_or(false)).collect();
         p.push_bits(0, &bits);
-        fault_simulate(netlist, &p, &mut list, &FaultSimConfig::default());
+        fault_simulate(
+            netlist,
+            &p,
+            &mut list,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         // The fault (or its equivalence representative) must be detected.
         let detected: Vec<Fault> = list
             .detected()

@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use warpstl_bench::{compact_group, Scale};
 use warpstl_core::baseline::IterativeCompactor;
 use warpstl_core::Compactor;
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{simulate_seq, PatternSeq};
 use warpstl_programs::generators::{
@@ -121,7 +121,16 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("substrates/fault_sim_du_1k", |b| {
         b.iter_batched(
             || FaultList::new(&universe),
-            |mut list| fault_simulate(&du, &pats, &mut list, &FaultSimConfig::default()),
+            |mut list| {
+                fault_simulate(
+                    &du,
+                    &pats,
+                    &mut list,
+                    &FaultSimConfig::default(),
+                    None,
+                    &SimGuide::default(),
+                )
+            },
             BatchSize::SmallInput,
         );
     });

@@ -11,10 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use warpstl_analyze::Scoap;
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, fault_simulate_reference,
-    FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse, SimBackend,
+    SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -90,6 +89,8 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
                             threads,
                             ..non_drop()
                         },
+                        None,
+                        &SimGuide::default(),
                     )
                 },
                 BatchSize::SmallInput,
@@ -106,7 +107,7 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
         b.iter_batched(
             || FaultList::new(&universe),
             |mut list| {
-                fault_simulate_observed(
+                fault_simulate(
                     netlist,
                     &pats,
                     &mut list,
@@ -115,38 +116,9 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
                         ..non_drop()
                     },
                     Some(&recorder),
+                    &SimGuide::default(),
                 )
             },
-            BatchSize::SmallInput,
-        );
-    });
-
-    // Dominance collapsing + hardest-first ordering vs the equivalence-only
-    // baseline, both in drop mode (dominance only activates there): the
-    // static-analysis payoff the `bench_fsim` binary quantifies.
-    let dominance = universe.dominance(netlist);
-    let keys = Scoap::compute(netlist).observability_keys();
-    let drop1 = FaultSimConfig {
-        threads: 1,
-        backend: SimBackend::Event,
-        ..FaultSimConfig::default()
-    };
-    c.bench_function(&format!("fsim/{name}/drop/baseline"), |b| {
-        b.iter_batched(
-            || FaultList::new(&universe),
-            |mut list| fault_simulate(netlist, &pats, &mut list, &drop1),
-            BatchSize::SmallInput,
-        );
-    });
-    let guide = SimGuide {
-        dominance: Some(&dominance),
-        order_keys: Some(&keys),
-        ..SimGuide::default()
-    };
-    c.bench_function(&format!("fsim/{name}/drop/guided"), |b| {
-        b.iter_batched(
-            || FaultList::new(&universe),
-            |mut list| fault_simulate_guided(netlist, &pats, &mut list, &drop1, None, &guide),
             BatchSize::SmallInput,
         );
     });
@@ -154,16 +126,11 @@ fn bench_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usiz
 
 /// The levelized SoA batch kernel against the event path, single thread in
 /// non-drop mode at 512 patterns (so the 256-bit wide path sees full
-/// blocks): `kernel/<module>/{event,kernel64,kernel256}`.
+/// blocks): `kernel/<module>/{event,kernel}`.
 fn bench_kernel_module(c: &mut Criterion, name: &str, netlist: &Netlist, patterns: usize) {
     let pats = pseudorandom_patterns(netlist.inputs().width(), patterns, 0x5e7e ^ patterns as u64);
     let universe = FaultUniverse::enumerate(netlist);
-    let backends = [
-        ("event", SimBackend::Event),
-        ("kernel64", SimBackend::Kernel64),
-        ("kernel256", SimBackend::Kernel),
-    ];
-    for (bname, backend) in backends {
+    for (bname, backend) in [("event", SimBackend::Event), ("kernel", SimBackend::Kernel)] {
         let cfg = FaultSimConfig {
             drop_detected: false,
             early_exit: false,
@@ -173,7 +140,9 @@ fn bench_kernel_module(c: &mut Criterion, name: &str, netlist: &Netlist, pattern
         c.bench_function(&format!("kernel/{name}/{bname}"), |b| {
             b.iter_batched(
                 || FaultList::new(&universe),
-                |mut list| fault_simulate(netlist, &pats, &mut list, &cfg),
+                |mut list| {
+                    fault_simulate(netlist, &pats, &mut list, &cfg, None, &SimGuide::default())
+                },
                 BatchSize::SmallInput,
             );
         });

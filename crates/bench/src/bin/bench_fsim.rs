@@ -25,13 +25,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use warpstl_analyze::Scoap;
 use warpstl_bench::{compact_group, Scale};
 use warpstl_campaign::{run_campaign, CampaignConfig, CampaignSpec};
 use warpstl_core::{Compactor, StageTimings};
 use warpstl_fault::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, fault_simulate_reference,
-    FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
+    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse, SimBackend,
+    SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -116,7 +115,14 @@ fn measure(
         .iter()
         .map(|&t| {
             let s = time_best(&universe, reps, |list| {
-                fault_simulate(netlist, &pats, list, &non_drop(t));
+                fault_simulate(
+                    netlist,
+                    &pats,
+                    list,
+                    &non_drop(t),
+                    None,
+                    &SimGuide::default(),
+                );
             });
             eprintln!("[bench_fsim]   engine t={t}     {s:.4}s");
             (t, s)
@@ -129,89 +135,6 @@ fn measure(
         faults: universe.collapsed_len(),
         reference_s,
         engine_s,
-    }
-}
-
-struct DominanceResult {
-    name: String,
-    patterns: usize,
-    collapsed: usize,
-    direct: usize,
-    dominated: usize,
-    analysis_s: f64,
-    baseline_s: f64,
-    guided_s: f64,
-    coverage: f64,
-}
-
-/// Times the drop-mode dominance+ordering run against the equivalence-only
-/// baseline (single thread, so the difference is pure work reduction) and
-/// asserts the two report identical coverage over the full universe.
-fn measure_dominance(
-    name: &str,
-    netlist: &Netlist,
-    patterns: usize,
-    reps: usize,
-) -> DominanceResult {
-    let pats = pseudorandom_patterns(netlist.inputs().width(), patterns, 0xd0d0 ^ patterns as u64);
-    let universe = FaultUniverse::enumerate(netlist);
-
-    // One-time per-module analysis cost (shared by every PTP of an STL).
-    let start = Instant::now();
-    let dominance = universe.dominance(netlist);
-    let keys = Scoap::compute(netlist).observability_keys();
-    let levels = netlist.levelize();
-    let analysis_s = start.elapsed().as_secs_f64();
-    let guide = SimGuide {
-        dominance: Some(&dominance),
-        order_keys: Some(&keys),
-        levels: Some(&levels),
-        ..SimGuide::default()
-    };
-    let cfg = FaultSimConfig {
-        threads: 1,
-        ..FaultSimConfig::default()
-    };
-
-    eprintln!(
-        "[bench_fsim] {name}: {} collapsed classes, {} dominated, {patterns} patterns (drop mode)",
-        universe.collapsed_len(),
-        dominance.removed().len()
-    );
-    let baseline_s = time_best(&universe, reps, |list| {
-        fault_simulate(netlist, &pats, list, &cfg);
-    });
-    eprintln!("[bench_fsim]   equivalence-only {baseline_s:.4}s");
-    let guided_s = time_best(&universe, reps, |list| {
-        fault_simulate_guided(netlist, &pats, list, &cfg, None, &guide);
-    });
-    eprintln!(
-        "[bench_fsim]   dominance+order  {guided_s:.4}s ({:.2}x)",
-        baseline_s / guided_s
-    );
-
-    // Coverage identity: the reduced run must report exactly the baseline's
-    // coverage over the full universe.
-    let mut base_list = FaultList::new(&universe);
-    fault_simulate(netlist, &pats, &mut base_list, &cfg);
-    let mut guided_list = FaultList::new(&universe);
-    fault_simulate_guided(netlist, &pats, &mut guided_list, &cfg, None, &guide);
-    assert_eq!(
-        guided_list.coverage(),
-        base_list.coverage(),
-        "{name}: dominance+ordering changed the reported coverage"
-    );
-
-    DominanceResult {
-        name: name.to_string(),
-        patterns,
-        collapsed: universe.collapsed_len(),
-        direct: dominance.direct().len(),
-        dominated: dominance.removed().len(),
-        analysis_s,
-        baseline_s,
-        guided_s,
-        coverage: base_list.coverage(),
     }
 }
 
@@ -269,9 +192,9 @@ fn measure_implications(
 
         // Detected-set identity before any timing is recorded.
         let mut off_list = FaultList::new(&universe);
-        fault_simulate_guided(&netlist, &pats, &mut off_list, &cfg, None, &off_guide);
+        fault_simulate(&netlist, &pats, &mut off_list, &cfg, None, &off_guide);
         let mut on_list = FaultList::new(&universe);
-        fault_simulate_guided(&netlist, &pats, &mut on_list, &cfg, None, &on_guide);
+        fault_simulate(&netlist, &pats, &mut on_list, &cfg, None, &on_guide);
         assert_eq!(
             off_list.to_report_text(),
             on_list.to_report_text(),
@@ -279,10 +202,10 @@ fn measure_implications(
         );
 
         let off_s = time_best(&universe, reps, |list| {
-            fault_simulate_guided(&netlist, &pats, list, &cfg, None, &off_guide);
+            fault_simulate(&netlist, &pats, list, &cfg, None, &off_guide);
         });
         let on_s = time_best(&universe, reps, |list| {
-            fault_simulate_guided(&netlist, &pats, list, &cfg, None, &on_guide);
+            fault_simulate(&netlist, &pats, list, &cfg, None, &on_guide);
         });
         eprintln!(
             "[bench_fsim]   {label:<6} unpruned {off_s:.4}s / pruned {on_s:.4}s ({:.2}x)",
@@ -306,15 +229,14 @@ struct KernelResult {
     patterns: usize,
     faults: usize,
     event_s: f64,
-    kernel64_s: f64,
-    kernel256_s: f64,
+    kernel_s: f64,
 }
 
-/// Times the event path against the levelized kernel at both block widths
-/// (single thread, drop mode — the production default — and 512 patterns so
-/// the 256-bit path sees full blocks), gated on bit-identity: timings are
-/// only recorded after both kernel widths reproduce the event path's report
-/// and fault list exactly.
+/// Times the event path against the levelized kernel (single thread, drop
+/// mode — the production default — and 512 patterns so the 256-bit path
+/// sees full blocks), gated on bit-identity: timings are only recorded
+/// after the kernel reproduces the event path's report and fault list
+/// exactly.
 fn measure_kernel(name: &str, netlist: &Netlist, patterns: usize, reps: usize) -> KernelResult {
     let pats = pseudorandom_patterns(netlist.inputs().width(), patterns, 0x5e7e ^ patterns as u64);
     let universe = FaultUniverse::enumerate(netlist);
@@ -324,43 +246,49 @@ fn measure_kernel(name: &str, netlist: &Netlist, patterns: usize, reps: usize) -
         ..FaultSimConfig::default()
     };
 
+    let guide = SimGuide::default();
     let mut event_list = FaultList::new(&universe);
-    let event_report = fault_simulate(netlist, &pats, &mut event_list, &cfg(SimBackend::Event));
-    for backend in [SimBackend::Kernel64, SimBackend::Kernel] {
-        let mut list = FaultList::new(&universe);
-        let report = fault_simulate(netlist, &pats, &mut list, &cfg(backend));
-        assert_eq!(
-            report, event_report,
-            "{name}: backend {backend} diverged from the event path report"
-        );
-        assert_eq!(
-            list.to_report_text(),
-            event_list.to_report_text(),
-            "{name}: backend {backend} diverged from the event path fault list"
-        );
-    }
+    let event_report = fault_simulate(
+        netlist,
+        &pats,
+        &mut event_list,
+        &cfg(SimBackend::Event),
+        None,
+        &guide,
+    );
+    let mut kernel_list = FaultList::new(&universe);
+    let kernel_report = fault_simulate(
+        netlist,
+        &pats,
+        &mut kernel_list,
+        &cfg(SimBackend::Kernel),
+        None,
+        &guide,
+    );
+    assert_eq!(
+        kernel_report, event_report,
+        "{name}: the kernel diverged from the event path report"
+    );
+    assert_eq!(
+        kernel_list.to_report_text(),
+        event_list.to_report_text(),
+        "{name}: the kernel diverged from the event path fault list"
+    );
 
     eprintln!(
         "[bench_fsim] {name}: kernel vs event, {} collapsed faults, {patterns} patterns (t=1)",
         universe.collapsed_len()
     );
     let event_s = time_best(&universe, reps, |list| {
-        fault_simulate(netlist, &pats, list, &cfg(SimBackend::Event));
+        fault_simulate(netlist, &pats, list, &cfg(SimBackend::Event), None, &guide);
     });
-    eprintln!("[bench_fsim]   event          {event_s:.4}s");
-    let kernel64_s = time_best(&universe, reps, |list| {
-        fault_simulate(netlist, &pats, list, &cfg(SimBackend::Kernel64));
-    });
-    eprintln!(
-        "[bench_fsim]   kernel w=64    {kernel64_s:.4}s ({:.2}x)",
-        event_s / kernel64_s
-    );
-    let kernel256_s = time_best(&universe, reps, |list| {
-        fault_simulate(netlist, &pats, list, &cfg(SimBackend::Kernel));
+    eprintln!("[bench_fsim]   event   {event_s:.4}s");
+    let kernel_s = time_best(&universe, reps, |list| {
+        fault_simulate(netlist, &pats, list, &cfg(SimBackend::Kernel), None, &guide);
     });
     eprintln!(
-        "[bench_fsim]   kernel w=256   {kernel256_s:.4}s ({:.2}x)",
-        event_s / kernel256_s
+        "[bench_fsim]   kernel  {kernel_s:.4}s ({:.2}x)",
+        event_s / kernel_s
     );
 
     KernelResult {
@@ -368,8 +296,7 @@ fn measure_kernel(name: &str, netlist: &Netlist, patterns: usize, reps: usize) -
         patterns,
         faults: universe.collapsed_len(),
         event_s,
-        kernel64_s,
-        kernel256_s,
+        kernel_s,
     }
 }
 
@@ -572,11 +499,25 @@ fn measure_obs_overhead(reps: usize) -> (f64, f64) {
     let pats = pseudorandom_patterns(netlist.inputs().width(), 128, 0xb5eed ^ 128);
     let universe = FaultUniverse::enumerate(&netlist);
     let noop_s = time_best(&universe, reps, |list| {
-        fault_simulate_observed(&netlist, &pats, list, &non_drop(1), None);
+        fault_simulate(
+            &netlist,
+            &pats,
+            list,
+            &non_drop(1),
+            None,
+            &SimGuide::default(),
+        );
     });
     let recorder = Recorder::new();
     let recorder_s = time_best(&universe, reps, |list| {
-        fault_simulate_observed(&netlist, &pats, list, &non_drop(1), Some(&recorder));
+        fault_simulate(
+            &netlist,
+            &pats,
+            list,
+            &non_drop(1),
+            Some(&recorder),
+            &SimGuide::default(),
+        );
     });
     (noop_s, recorder_s)
 }
@@ -613,18 +554,6 @@ fn main() {
     let kernel_results: Vec<KernelResult> = ModuleKind::ALL
         .iter()
         .map(|kind| measure_kernel(kind.name(), &kind.build(), 512, 3))
-        .collect();
-
-    eprintln!("[bench_fsim] measuring dominance+ordering vs equivalence-only (drop mode, t=1)");
-    let dominance_results: Vec<DominanceResult> = ModuleKind::ALL
-        .iter()
-        .map(|kind| {
-            let patterns = match kind {
-                ModuleKind::DecoderUnit => 2048,
-                _ => 512,
-            };
-            measure_dominance(kind.name(), &kind.build(), patterns, 5)
-        })
         .collect();
 
     eprintln!("[bench_fsim] measuring static universe pruning (drop mode, t=1, both backends)");
@@ -724,52 +653,21 @@ fn main() {
     json.push_str("  \"kernel\": {\n");
     let _ = writeln!(
         json,
-        "    \"note\": \"levelized SoA batch kernel vs the event path, drop mode (the production default), single thread, best of N reps; kernel64/kernel256 are the 64-bit remainder and 256-bit wide block paths; bit-identity of report and fault list against the event path is asserted before any timing is recorded\","
+        "    \"note\": \"levelized SoA batch kernel (256-bit blocks, 1024-pattern windows) vs the event path, drop mode (the production default), single thread, best of N reps; bit-identity of report and fault list against the event path is asserted before any timing is recorded\","
     );
     json.push_str("    \"modules\": [\n");
     for (ki, k) in kernel_results.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"module\": \"{}\", \"patterns\": {}, \"collapsed_faults\": {}, \"event_s\": {:.6}, \"kernel64_s\": {:.6}, \"kernel256_s\": {:.6}, \"speedup_kernel64\": {:.3}, \"speedup_kernel256\": {:.3}}}",
+            "      {{\"module\": \"{}\", \"patterns\": {}, \"collapsed_faults\": {}, \"event_s\": {:.6}, \"kernel_s\": {:.6}, \"speedup_kernel\": {:.3}}}",
             k.name,
             k.patterns,
             k.faults,
             k.event_s,
-            k.kernel64_s,
-            k.kernel256_s,
-            k.event_s / k.kernel64_s,
-            k.event_s / k.kernel256_s
+            k.kernel_s,
+            k.event_s / k.kernel_s
         );
         json.push_str(if ki + 1 < kernel_results.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
-    json.push_str("  \"dominance\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"drop mode, single thread, best of N reps: equivalence-only target list vs dominance-collapsed list with SCOAP hardest-first group ordering and segmented re-packing of undetected faults; coverage over the full universe is asserted identical before recording; analysis_s is the one-time per-module SCOAP+dominance build shared across an STL\","
-    );
-    json.push_str("    \"modules\": [\n");
-    for (di, d) in dominance_results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"module\": \"{}\", \"patterns\": {}, \"collapsed_classes\": {}, \"direct\": {}, \"dominated\": {}, \"analysis_s\": {:.6}, \"equivalence_only_s\": {:.6}, \"dominance_ordering_s\": {:.6}, \"speedup\": {:.3}, \"coverage\": {:.6}}}",
-            d.name,
-            d.patterns,
-            d.collapsed,
-            d.direct,
-            d.dominated,
-            d.analysis_s,
-            d.baseline_s,
-            d.guided_s,
-            d.baseline_s / d.guided_s,
-            d.coverage
-        );
-        json.push_str(if di + 1 < dominance_results.len() {
             ",\n"
         } else {
             "\n"

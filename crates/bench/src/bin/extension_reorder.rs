@@ -6,7 +6,7 @@
 
 use warpstl_bench::{timed, Scale};
 use warpstl_core::{reorder_ptp, time_to_fraction, Compactor};
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_programs::generators::generate_imm;
 use warpstl_programs::Ptp;
@@ -24,6 +24,8 @@ fn sim(
         &run.patterns.du,
         &mut list,
         &FaultSimConfig::default(),
+        None,
+        &SimGuide::default(),
     );
     (run, report)
 }

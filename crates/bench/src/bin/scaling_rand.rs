@@ -7,7 +7,7 @@
 //! the paper's value as the program grows.
 
 use warpstl_core::{label_instructions, reduce_ptp, Compactor};
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_programs::generators::{generate_rand_sp, RandConfig};
 
@@ -38,6 +38,8 @@ fn main() {
             &run.patterns.sp[0],
             &mut list,
             &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
         );
         let labels = label_instructions(ptp.program.len(), &run.trace, &report);
         let reduction = reduce_ptp(&ptp, &labels);

@@ -15,7 +15,7 @@
 //! | `modules` | \[string\] (required) | target modules, by [`ModuleKind`] name |
 //! | `lanes` | \[number\] (`[8]`) | SP lanes per SM; validated *per cell* by the job layer, so `[8, 12]` runs the 8-lane cells and reports the 12-lane cells as failed |
 //! | `fault_models` | \[string\] (`["stuck-at"]`) | `stuck-at` / `bridging` |
-//! | `backends` | \[string\] (`["auto"]`) | `auto` / `event` / `kernel` / `kernel64` |
+//! | `backends` | \[string\] (`["auto"]`) | `auto` / `event` / `kernel` |
 //! | `drop` | \[bool\] (`[true]`) | fault dropping between patterns |
 //! | `sb_count` | number (`6`) | Small Blocks per generated test program |
 //! | `seed` | number (`1`) | generator seed |
@@ -134,9 +134,8 @@ impl CampaignSpec {
             Some(names) => names
                 .iter()
                 .map(|s| {
-                    SimBackend::parse(s).ok_or_else(|| {
-                        format!("unknown backend `{s}` (auto|event|kernel|kernel64)")
-                    })
+                    SimBackend::parse(s)
+                        .ok_or_else(|| format!("unknown backend `{s}` (auto|event|kernel)"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
@@ -348,6 +347,10 @@ mod tests {
             ),
             (
                 r#"{"modules": ["sfu"], "backends": ["gpu"]}"#,
+                "unknown backend",
+            ),
+            (
+                r#"{"modules": ["sfu"], "backends": ["kernel64"]}"#,
                 "unknown backend",
             ),
             (r#"{"modules": ["sfu"], "lanes": [-8]}"#, "non-negative"),

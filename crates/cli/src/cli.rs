@@ -506,8 +506,7 @@ fn lint(args: &[String]) -> CliResult {
 }
 
 /// Statically analyzes one module netlist: SCOAP testability measures,
-/// fault dominance on top of the equivalence-collapsed universe, and the
-/// structural lints the compaction pipeline runs as its pre-simulation
+/// the fault universe of the selected model, and the structural lints the compaction pipeline runs as its pre-simulation
 /// gate. Exits nonzero (via `Err`) when a lint error fires; warnings print
 /// but pass.
 fn analyze(args: &[String]) -> CliResult {
@@ -554,25 +553,17 @@ fn analyze(args: &[String]) -> CliResult {
             levels.segments().len(),
             cfg.resolved_backend(combinational)
         );
-        // The fault model (and with it the dominance view) is only
-        // defined on netlists that pass the lint gate — that is what the
+        // The fault model is only defined on netlists that pass the lint gate — that is what the
         // gate protects the pipeline from.
         if analysis.is_clean() {
             match model {
                 FaultModel::StuckAt => {
                     let universe = FaultUniverse::enumerate(&netlist);
-                    let dominance = universe.dominance(&netlist);
                     println!(
                         "faults     {} total, {} after equivalence ({:.1} %)",
                         universe.total_len(),
                         universe.collapsed_len(),
                         universe.collapse_ratio() * 100.0
-                    );
-                    println!(
-                        "dominance  {} direct + {} dominated ({:.1} % of classes simulated)",
-                        dominance.direct().len(),
-                        dominance.removed().len(),
-                        dominance.reduction_ratio() * 100.0
                     );
                 }
                 FaultModel::Bridging => {
@@ -1083,7 +1074,6 @@ mod tests {
             ("auto", SimBackend::Auto),
             ("event", SimBackend::Event),
             ("kernel", SimBackend::Kernel),
-            ("kernel64", SimBackend::Kernel64),
         ] {
             let args = s(&["--sim-backend", v]);
             assert_eq!(resolve_sim_backend(&Flags::new(&args)), want);
@@ -1092,8 +1082,10 @@ mod tests {
         // value warns but must not abort the compaction).
         let args = s(&[]);
         assert_eq!(resolve_sim_backend(&Flags::new(&args)), SimBackend::Auto);
-        let args = s(&["--sim-backend", "quantum"]);
-        assert_eq!(resolve_sim_backend(&Flags::new(&args)), SimBackend::Auto);
+        for bad in ["quantum", "kernel64"] {
+            let args = s(&["--sim-backend", bad]);
+            assert_eq!(resolve_sim_backend(&Flags::new(&args)), SimBackend::Auto);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig};
+use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, SimGuide};
 use warpstl_gpu::{Gpu, RunOptions, SimError};
 use warpstl_programs::{segment_small_blocks, ArcAnalysis, BasicBlocks, Ptp};
 
@@ -57,7 +57,14 @@ impl IterativeCompactor {
             let streams = ctx.streams(&run.patterns);
             for (i, stream) in streams.iter().enumerate() {
                 if !stream.is_empty() {
-                    fault_simulate(netlist, stream, &mut lists[i], &cfg);
+                    fault_simulate(
+                        netlist,
+                        stream,
+                        &mut lists[i],
+                        &cfg,
+                        None,
+                        &SimGuide::default(),
+                    );
                 }
             }
             let fc = lists.iter().map(FaultList::coverage).sum::<f64>() / lists.len().max(1) as f64;

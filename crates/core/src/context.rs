@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use warpstl_analyze::{analyze, Analysis};
 use warpstl_fault::{
-    BridgeConfig, BridgeList, BridgeUniverse, DominanceView, Fault, FaultId, FaultList, FaultModel,
-    FaultSite, FaultUniverse, Polarity, SimGuide,
+    BridgeConfig, BridgeList, BridgeUniverse, Fault, FaultId, FaultList, FaultModel, FaultSite,
+    FaultUniverse, Polarity, SimGuide,
 };
 use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
@@ -38,8 +38,6 @@ pub struct ModuleContext {
     universe: FaultUniverse,
     lists: Vec<FaultList>,
     analysis: Analysis,
-    dominance: DominanceView,
-    order_keys: Vec<f64>,
     levels: Levelization,
     /// Per collapsed-class flag: statically proven untestable.
     untestable: Vec<bool>,
@@ -56,27 +54,26 @@ pub struct ModuleContext {
 
 /// The bridging counterpart of the stuck-at `universe` + `lists` pair: a
 /// deterministically sampled two-net bridge universe and one dropping
-/// [`BridgeList`] per instance. Untestability proofs and dominance are
-/// stuck-at constructs, so bridging lists carry neither — every sampled
-/// bridge counts in the coverage denominator.
+/// [`BridgeList`] per instance. Untestability proofs are a stuck-at
+/// construct, so bridging lists carry none — every sampled bridge counts
+/// in the coverage denominator.
 #[derive(Debug, Clone)]
 struct BridgeState {
     universe: BridgeUniverse,
     lists: Vec<BridgeList>,
 }
 
-/// Maps the analyzer's per-site untestability proofs and equivalence
-/// merges onto the collapsed fault classes of `universe`: the returned
-/// bitmap flags every class with a proven-untestable member (equivalent
-/// faults share test sets, so one proven member condemns the class), and
-/// the pairs are `(pin-fault class, output-fault class)` equivalences for
-/// the dominance view. Untestability propagates across the pairs before
-/// they are returned.
+/// Maps the analyzer's per-site untestability proofs onto the collapsed
+/// fault classes of `universe`: the returned bitmap flags every class with
+/// a proven-untestable member (equivalent faults share test sets, so one
+/// proven member condemns the class). Untestability also crosses the
+/// analyzer's implication-derived `(pin-fault class, output-fault class)`
+/// equivalences.
 fn map_untestability(
     netlist: &Netlist,
     universe: &FaultUniverse,
     analysis: &Analysis,
-) -> (Vec<bool>, Vec<(FaultId, FaultId)>) {
+) -> Vec<bool> {
     let unt = &analysis.untestable;
     let mut bitmap = vec![false; universe.collapsed_len()];
     let rep = |site: FaultSite, stuck: bool| {
@@ -127,17 +124,16 @@ fn map_untestability(
             break;
         }
     }
-    (bitmap, pairs)
+    bitmap
 }
 
 impl ModuleContext {
     /// Builds the context for `module` with `instances` fault lists.
     ///
     /// The one-pass static analysis (SCOAP measures, lints, implication
-    /// closure), the dominance view — strengthened with the analyzer's
-    /// implication-derived fault equivalences — and the untestability
-    /// bitmap all run here, once per module; every PTP compacted against
-    /// this context reuses them. Each fault list is born with the proven
+    /// closure), the untestability bitmap and the levelization all run
+    /// here, once per module; every PTP compacted against this context
+    /// reuses them. Each fault list is born with the proven
     /// classes [marked untestable](FaultList::mark_untestable), so
     /// coverage denominators count testable faults only.
     #[must_use]
@@ -145,9 +141,7 @@ impl ModuleContext {
         let netlist = module.build();
         let universe = FaultUniverse::enumerate(&netlist);
         let analysis = analyze(&netlist);
-        let (untestable, equiv_pairs) = map_untestability(&netlist, &universe, &analysis);
-        let mut dominance = universe.dominance(&netlist);
-        dominance.extend_with_equivalences(&equiv_pairs);
+        let untestable = map_untestability(&netlist, &universe, &analysis);
         let lists = (0..instances)
             .map(|_| {
                 let mut l = FaultList::new(&universe);
@@ -155,7 +149,6 @@ impl ModuleContext {
                 l
             })
             .collect();
-        let order_keys = analysis.scoap.observability_keys();
         let levels = netlist.levelize();
         let netlist_key = key_netlist(&netlist);
         ModuleContext {
@@ -164,8 +157,6 @@ impl ModuleContext {
             universe,
             lists,
             analysis,
-            dominance,
-            order_keys,
             levels,
             untestable,
             prune: true,
@@ -318,18 +309,6 @@ impl ModuleContext {
         &self.analysis
     }
 
-    /// The module's fault-dominance view over the collapsed universe.
-    #[must_use]
-    pub fn dominance(&self) -> &DominanceView {
-        &self.dominance
-    }
-
-    /// Per-gate observability keys (hardest-first ordering uses them).
-    #[must_use]
-    pub fn order_keys(&self) -> &[f64] {
-        &self.order_keys
-    }
-
     /// The module's levelization (rank-major gate ordering); the levelized
     /// simulation kernel evaluates over it.
     #[must_use]
@@ -359,15 +338,13 @@ impl ModuleContext {
         self.prune
     }
 
-    /// The simulation guide (dominance + untestable pruning + ordering)
+    /// The simulation guide (untestable pruning + cached levelization)
     /// borrowed from this context — hand it to
-    /// [`fault_simulate_guided`](warpstl_fault::fault_simulate_guided).
+    /// [`fault_simulate`](warpstl_fault::fault_simulate).
     #[must_use]
     pub fn sim_guide(&self) -> SimGuide<'_> {
         SimGuide {
-            dominance: Some(&self.dominance),
             untestable: self.prune.then_some(self.untestable.as_slice()),
-            order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         }
     }
@@ -396,9 +373,7 @@ impl ModuleContext {
         &mut self,
     ) -> (&Netlist, &mut [FaultList], SimGuide<'_>, CacheCtx<'_>) {
         let guide = SimGuide {
-            dominance: Some(&self.dominance),
             untestable: self.prune.then_some(self.untestable.as_slice()),
-            order_keys: Some(&self.order_keys),
             levels: Some(&self.levels),
         };
         let cache = CacheCtx {
@@ -489,15 +464,10 @@ mod tests {
     #[test]
     fn context_carries_analysis_products() {
         let c = ModuleContext::new(ModuleKind::DecoderUnit, 1);
-        // Bundled modules pass the lint gate.
+        // Bundled modules pass the lint gate...
         assert!(c.analysis().is_clean());
-        // Dominance genuinely shrinks the collapsed universe...
-        assert!(!c.dominance().is_identity());
-        assert!(c.dominance().reduction_ratio() < 1.0);
-        // ...and the ordering keys cover every gate.
-        assert_eq!(c.order_keys().len(), c.netlist().gates().len());
-        let guide = c.sim_guide();
-        assert!(guide.dominance.is_some() && guide.order_keys.is_some());
+        // ...and the guide hands the engine the cached levelization.
+        assert!(c.sim_guide().levels.is_some());
     }
 
     #[test]
@@ -524,7 +494,7 @@ mod tests {
             let mut ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1).with_pruning(prune);
             assert_eq!(ctx.sim_guide().untestable.is_some(), prune);
             let (netlist, lists, guide, _) = ctx.netlist_and_lists_mut();
-            let report = warpstl_fault::fault_simulate_guided(
+            let report = warpstl_fault::fault_simulate(
                 netlist,
                 &patterns,
                 &mut lists[0],

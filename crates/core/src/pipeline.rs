@@ -90,8 +90,8 @@ fn simulate_instances(
 }
 
 /// The bridging instantiation: each instance runs through
-/// [`cached_bridge_sim`] (no guide — dominance and untestability proofs
-/// are stuck-at constructs).
+/// [`cached_bridge_sim`] (no guide — untestability proofs are a stuck-at
+/// construct).
 fn simulate_bridge_instances(
     netlist: &Netlist,
     streams: &[Cow<'_, PatternSeq>],

@@ -138,7 +138,7 @@ mod tests {
     use warpstl_programs::generators::{generate_cntrl, generate_imm, CntrlConfig, ImmConfig};
 
     fn trace_and_sim(ptp: &Ptp) -> (warpstl_gpu::RunResult, FaultSimReport) {
-        use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+        use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
         let compactor = Compactor::default();
         let run = compactor.trace(ptp).expect("runs");
         let netlist = ModuleKind::DecoderUnit.build();
@@ -149,6 +149,8 @@ mod tests {
             &run.patterns.du,
             &mut list,
             &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
         );
         (run, report)
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use warpstl_netlist::NetId;
+use warpstl_netlist::{Gate, NetId};
 
 /// The stuck value of a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,7 +77,7 @@ impl fmt::Display for FaultSite {
 ///
 /// ```
 /// use warpstl_fault::{Fault, FaultSite, Polarity};
-/// use warpstl_netlist::NetId;
+/// use warpstl_netlist::{Gate, NetId};
 ///
 /// let f = Fault::new(FaultSite::Output(NetId(3)), Polarity::Sa1);
 /// assert_eq!(f.to_string(), "n3/SA1");
@@ -101,6 +101,68 @@ impl Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.site, self.polarity)
+    }
+}
+
+/// A fault model the simulation engine can inject. Both engine loops are
+/// generic over it — the event path, whose 64-bit word lanes are faulty
+/// machines, and the levelized kernel, whose lanes are patterns — so every
+/// model shares the engine's batching, cone pruning, threading and
+/// windowing, and [`fault_simulate`](crate::fault_simulate) is one entry
+/// point for all of them.
+///
+/// A fault forces one value at one or more sites. `good` maps a net index
+/// to that net's fault-free word in the lanes being simulated.
+///
+/// # Examples
+///
+/// ```
+/// use warpstl_fault::{Fault, FaultSite, Injectable, Polarity};
+/// use warpstl_netlist::NetId;
+///
+/// let f = Fault::new(FaultSite::Output(NetId(0)), Polarity::Sa1);
+/// let good = |_net: usize| 0b0101u64;
+/// assert_eq!(f.forced(good), !0); // stuck-at-1 forces all ones
+/// assert_eq!(f.activation(&[], good), !0b0101); // active where good is 0
+/// ```
+pub trait Injectable: Copy + Send + Sync {
+    /// The sites the fault forces its value at: gate outputs (stems) or
+    /// gate input pins (branches). No site may lie in the fanout cone of
+    /// another, so the good machine determines the forced value exactly.
+    fn sites(&self) -> impl IntoIterator<Item = FaultSite>;
+
+    /// The lanes in which the fault is activated: where the forced value
+    /// differs from a site's fault-free value.
+    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
+
+    /// The value forced at every site.
+    fn forced(&self, good: impl Fn(usize) -> u64) -> u64;
+}
+
+impl Injectable for Fault {
+    fn sites(&self) -> impl IntoIterator<Item = FaultSite> {
+        [self.site]
+    }
+
+    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+        let src = match self.site {
+            FaultSite::Output(n) => n.index(),
+            FaultSite::InputPin(n, p) => gates[n.index()].pins[p as usize].index(),
+        };
+        let g = good(src);
+        if self.polarity.value() {
+            !g
+        } else {
+            g
+        }
+    }
+
+    fn forced(&self, _good: impl Fn(usize) -> u64) -> u64 {
+        if self.polarity.value() {
+            !0
+        } else {
+            0
+        }
     }
 }
 

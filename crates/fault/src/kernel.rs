@@ -1,39 +1,43 @@
 //! The levelized SoA batch kernel: pattern-parallel fault simulation over
-//! rank-major gate arrays.
+//! rank-major gate arrays, generic over the fault model ([`Injectable`]).
 //!
-//! Where the event path ([`crate::engine::run_batches`]) packs 63 faulty
-//! machines into each 64-bit word and walks one pattern at a time, the
-//! kernel turns the word the other way: **bit lanes are patterns**. A block
-//! is `W` consecutive 64-bit lane words — `W = 4` (256 patterns) on the main
+//! Where the event path (`engine::run_batches`) packs 63 faulty machines
+//! into each 64-bit word and walks one pattern at a time, the kernel turns
+//! the word the other way: **bit lanes are patterns**. A block is `W`
+//! consecutive 64-bit lane words — `W = 4` (256 patterns) on the main
 //! path, autovectorizable as plain `[u64; 4]` arithmetic, with `W = 1` kept
 //! as the remainder path for spans that don't fill a wide block.
 //!
 //! The 2D batching then looks like this:
 //!
 //! - **Pattern-parallel within a block.** The good machine is evaluated once
-//!   per worker for the whole pattern span, rank by rank over the
-//!   [`Levelization`] segments — each segment is one branch-free loop over
-//!   gates of one kind, reading and writing a flat `net × word` span
-//!   buffer.
+//!   per worker per pattern window, rank by rank over the [`Levelization`]
+//!   segments — each segment is one branch-free loop over gates of one
+//!   kind, reading and writing a flat `net × word` window buffer.
 //! - **Fault-parallel across the existing 63-fault groups.** Batches keep
 //!   the engine's exact composition (that is what fixes the report order);
 //!   within a batch each fault is propagated alone: its faulty machine
 //!   differs from the good one only where the fault's effect survives, so
-//!   the kernel forces the site word and chases the **difference frontier**
-//!   through the levelization's rank buckets — a gate is (re)evaluated for
-//!   a block only if one of its inputs actually changed, and the frontier
-//!   dies wherever the faulty word equals the good word. Fanout-cone
-//!   pruning is implicit: the frontier is confined to the site's cone and
-//!   is usually far smaller.
+//!   the kernel forces the site words and chases the **difference
+//!   frontier** through the levelization's rank buckets — a gate is
+//!   (re)evaluated for a block only if one of its inputs actually changed,
+//!   and the frontier dies wherever the faulty word equals the good word.
+//!   Fanout-cone pruning is implicit: the frontier is confined to the
+//!   sites' cones and is usually far smaller.
+//!
+//! The pattern span is processed in fixed windows of [`WINDOW`] patterns:
+//! each window's good machine is evaluated, then every still-live fault
+//! runs its blocks in it. Per-worker memory is therefore
+//! `gates × WINDOW / 64` words whatever the sequence length.
 //!
 //! Two screens keep per-fault work near zero for inert blocks: an
-//! activation screen (a fault whose site sees no opposing good value in a
-//! block cannot change anything) and the frontier itself (a pin fault whose
-//! effect is absorbed by the seed gate propagates nowhere). Detection,
-//! activation, and per-pattern tallies are extracted per pattern, and the
-//! per-batch detection log is sorted back into the serial
-//! `(pattern, lane)` order — making the report **bit-identical** to the
-//! event path (the equivalence suite asserts this).
+//! activation screen (a fault that changes no site value in a block cannot
+//! change anything) and the frontier itself (a pin fault whose effect is
+//! absorbed by the seed gate propagates nowhere). Detection, activation,
+//! and per-pattern tallies are extracted per pattern, and the per-batch
+//! detection log is sorted back into the serial `(pattern, lane)` order —
+//! making the report **bit-identical** to the event path (the equivalence
+//! suite asserts this).
 //!
 //! Fault dropping maps naturally: a dropped fault simply stops after the
 //! block containing its first detection — the pattern-block analogue of the
@@ -47,7 +51,14 @@ use warpstl_netlist::{GateKind, Levelization};
 use warpstl_obs::{Metrics, Obs, ObsExt};
 
 use crate::engine::{Ctx, WorkerOut};
-use crate::{Fault, FaultId, FaultSite};
+use crate::{FaultId, FaultSite, Injectable};
+
+/// Block width of the main path, in 64-bit words (256 patterns).
+const WIDE: usize = 4;
+
+/// Patterns per kernel window: a multiple of the wide block, so every
+/// window but the last is made of whole wide blocks.
+pub(crate) const WINDOW: usize = 1024;
 
 /// Evaluates one run of same-kind gates over the gate-major span buffer
 /// (`row` words per net, block at word offset `base`). Operands are staged
@@ -176,26 +187,23 @@ fn tally_bits(mut word: u64, t_base: usize, tally: &mut [u32]) {
     }
 }
 
-/// Per-fault cross-block state.
-struct FaultRun {
+/// Per-fault state carried across blocks and windows.
+struct FaultRun<F> {
     fid: FaultId,
-    fault: Fault,
+    fault: F,
     /// 1-based batch lane (serial tie-break within a pattern).
     lane: usize,
-    /// Activation is counted where the good site value opposes the stuck
-    /// value; `invert` is true for SA1 (activated when the good bit is 0).
-    invert: bool,
-    /// Gate-major row of the activation source net in the good span buffer.
-    src: usize,
     /// First-detection pattern, once found.
     detected_at: Option<usize>,
 }
 
 /// Reusable difference-frontier state, epoch-stamped so nothing is cleared
-/// between faults or blocks.
+/// between faults or blocks. The per-block path (`fault_block`,
+/// `propagate` and the helpers here) is forced inline: left to the
+/// inliner, drop-mode sp_core runs measured ~5 % slower.
 struct Frontier {
-    /// Faulty words of perturbed nets, `W` words per net (narrow blocks use
-    /// the first word of a row).
+    /// Faulty words of perturbed nets, `WIDE` words per net (narrow blocks
+    /// use the first word of a row).
     faulty: Vec<u64>,
     /// `stamp_val[net] == epoch` means `faulty` holds net's block words;
     /// otherwise the net carries the good value.
@@ -218,7 +226,7 @@ impl Frontier {
             is_out[o] = true;
         }
         Frontier {
-            faulty: vec![0u64; n * 4],
+            faulty: vec![0u64; n * WIDE],
             stamp_val: vec![0u32; n],
             stamp_queued: vec![0u32; n],
             epoch: 0,
@@ -226,100 +234,121 @@ impl Frontier {
             is_out,
         }
     }
+
+    /// Records `words` as the faulty value of `net` for this epoch.
+    #[inline(always)]
+    fn store<const BW: usize>(&mut self, net: usize, words: &[u64; BW]) {
+        self.faulty[net * WIDE..net * WIDE + BW].copy_from_slice(words);
+        self.stamp_val[net] = self.epoch;
+    }
+
+    /// Queues the fanout of `from` into its rank buckets, raising
+    /// `max_rank` to the highest rank queued.
+    #[inline(always)]
+    fn push(&mut self, ctx: &Ctx<'_>, levels: &Levelization, max_rank: &mut usize, from: usize) {
+        for &r in ctx.cones.successors(from) {
+            let ri = r as usize;
+            if self.stamp_queued[ri] != self.epoch {
+                self.stamp_queued[ri] = self.epoch;
+                let rank = levels.rank_of(ri) as usize;
+                self.buckets[rank].push(r);
+                *max_rank = (*max_rank).max(rank);
+            }
+        }
+    }
+}
+
+/// One window's good machine and lane masks, as the per-block functions
+/// read them: `stride` words per net, valid lanes in `word_mask`.
+struct Window<'a> {
+    good: &'a [u64],
+    word_mask: &'a [u64],
+    stride: usize,
+    /// Pattern index of the window's first lane.
+    p0: usize,
 }
 
 /// Propagates one fault's difference frontier through one block, returning
 /// the diff word(s) observed at the module outputs (already confined to the
-/// span's valid lanes) and counting evaluated gates into `gate_evals`.
-#[allow(clippy::too_many_arguments)]
-fn propagate<const BW: usize>(
+/// window's valid lanes) and counting evaluated gates into `gate_evals`.
+#[inline(always)]
+fn propagate<const BW: usize, F: Injectable>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
     fr: &mut Frontier,
-    run: &FaultRun,
-    good: &[u64],
-    word_mask: &[u64],
-    stride: usize,
+    fault: &F,
+    win: &Window<'_>,
     base: usize,
     gate_evals: &mut u64,
 ) -> [u64; BW] {
     fr.epoch += 1;
-    let epoch = fr.epoch;
-    let seed = run.fault.site.gate().index();
-    let forced = if run.invert { !0u64 } else { 0 };
-
-    // Seed word: the injected faulty value, masked to the valid lanes so
-    // the frontier never chases garbage in a span's tail bits.
-    let g0 = seed * stride + base;
-    let mut diff = [0u64; BW];
-    match run.fault.site {
-        // Output stem: the net is stuck regardless of the gate's inputs —
-        // exactly the event path's `(v & !sa0) | sa1`.
-        FaultSite::Output(_) => {
-            for w in 0..BW {
-                diff[w] = (forced ^ good[g0 + w]) & word_mask[base + w];
-            }
-        }
-        // Branch fault: evaluate the seed gate with the stuck pin forced;
-        // its inputs are upstream of the cone, so they carry good values.
-        FaultSite::InputPin(_, p) => {
-            let gate = &ctx.gates[seed];
-            let arity = gate.kind.arity();
-            let pin = |q: usize, w: usize| -> u64 {
-                if q == p as usize {
-                    forced
-                } else {
-                    good[gate.pins[q].index() * stride + base + w]
-                }
-            };
-            for w in 0..BW {
-                let a = pin(0, w);
-                let (b, c) = match arity {
-                    2 => (pin(1, w), 0),
-                    3 => (pin(1, w), pin(2, w)),
-                    _ => (0, 0),
-                };
-                diff[w] = (gate.kind.eval(a, b, c) ^ good[g0 + w]) & word_mask[base + w];
-            }
-        }
-    }
-    if diff.iter().all(|&d| d == 0) {
-        // The seed gate absorbed the fault in every lane of this block
-        // (possible for pin faults when another input is controlling).
-        return diff;
+    let (good, stride) = (win.good, win.stride);
+    let mut forced = [0u64; BW];
+    for (w, fw) in forced.iter_mut().enumerate() {
+        *fw = fault.forced(|n| good[n * stride + base + w]);
     }
 
+    // Seed every site with its injected faulty value, masked to the valid
+    // lanes so the frontier never chases garbage in a window's tail bits.
     let mut d_acc = [0u64; BW];
-    let store = |fr: &mut Frontier, net: usize, words: &[u64; BW]| {
-        fr.faulty[net * 4..net * 4 + BW].copy_from_slice(words);
-        fr.stamp_val[net] = epoch;
-    };
-    let mut fw = [0u64; BW];
-    for w in 0..BW {
-        fw[w] = good[g0 + w] ^ diff[w];
-    }
-    store(fr, seed, &fw);
-    if fr.is_out[seed] {
-        d_acc = diff;
-    }
-
-    let mut max_rank = levels.rank_of(seed) as usize;
-    let push = |fr: &mut Frontier, levels: &Levelization, max_rank: &mut usize, from: usize| {
-        for &r in ctx.cones.successors(from) {
-            let ri = r as usize;
-            if fr.stamp_queued[ri] != epoch {
-                fr.stamp_queued[ri] = epoch;
-                let rank = levels.rank_of(ri) as usize;
-                fr.buckets[rank].push(r);
-                if rank > *max_rank {
-                    *max_rank = rank;
+    let mut seeded = false;
+    let mut min_rank = usize::MAX;
+    let mut max_rank = 0usize;
+    for site in fault.sites() {
+        let seed = site.gate().index();
+        let g0 = seed * stride + base;
+        let mut fw = [0u64; BW];
+        match site {
+            // Output stem: the net takes the forced value regardless of the
+            // gate's inputs.
+            FaultSite::Output(_) => fw = forced,
+            // Branch site: evaluate the seed gate with the pin forced; its
+            // inputs are upstream of the cone, so they carry good values.
+            FaultSite::InputPin(_, p) => {
+                let gate = &ctx.gates[seed];
+                for w in 0..BW {
+                    let mut ops = [0u64; 3];
+                    for (q, &pin) in gate.inputs().iter().enumerate() {
+                        ops[q] = if q == p as usize {
+                            forced[w]
+                        } else {
+                            good[pin.index() * stride + base + w]
+                        };
+                    }
+                    fw[w] = gate.kind.eval(ops[0], ops[1], ops[2]);
                 }
             }
         }
-    };
-    push(fr, levels, &mut max_rank, seed);
+        let mut diff = [0u64; BW];
+        for w in 0..BW {
+            diff[w] = (fw[w] ^ good[g0 + w]) & win.word_mask[base + w];
+        }
+        if diff.iter().all(|&d| d == 0) {
+            // The site absorbed the fault in every lane of this block
+            // (possible for pin sites when another input is controlling).
+            continue;
+        }
+        for w in 0..BW {
+            fw[w] = good[g0 + w] ^ diff[w];
+        }
+        fr.store(seed, &fw);
+        if fr.is_out[seed] {
+            for w in 0..BW {
+                d_acc[w] |= diff[w];
+            }
+        }
+        let rank = levels.rank_of(seed) as usize;
+        min_rank = min_rank.min(rank);
+        max_rank = max_rank.max(rank);
+        fr.push(ctx, levels, &mut max_rank, seed);
+        seeded = true;
+    }
+    if !seeded {
+        return d_acc;
+    }
 
-    let mut rank = levels.rank_of(seed) as usize + 1;
+    let epoch = fr.epoch;
+    let mut rank = min_rank + 1;
     while rank <= max_rank {
         if fr.buckets[rank].is_empty() {
             rank += 1;
@@ -334,7 +363,7 @@ fn propagate<const BW: usize>(
             for (q, &p) in gate.inputs().iter().enumerate() {
                 let pi = p.index();
                 if fr.stamp_val[pi] == epoch {
-                    ops[q].copy_from_slice(&fr.faulty[pi * 4..pi * 4 + BW]);
+                    ops[q].copy_from_slice(&fr.faulty[pi * WIDE..pi * WIDE + BW]);
                 } else {
                     let s0 = pi * stride + base;
                     ops[q].copy_from_slice(&good[s0..s0 + BW]);
@@ -349,13 +378,13 @@ fn propagate<const BW: usize>(
             }
             *gate_evals += 1;
             if changed != 0 {
-                store(fr, gi, &out);
+                fr.store(gi, &out);
                 if fr.is_out[gi] {
                     for w in 0..BW {
                         d_acc[w] |= out[w] ^ good[o0 + w];
                     }
                 }
-                push(fr, levels, &mut max_rank, gi);
+                fr.push(ctx, levels, &mut max_rank, gi);
             }
         }
         bucket.clear();
@@ -369,12 +398,12 @@ fn propagate<const BW: usize>(
 /// the event path's exact semantics: activation is counted per pattern up
 /// to and including a dropped fault's detecting pattern; detections record
 /// only the first observation in drop mode, every observation otherwise.
-/// Both `d` and `a` arrive masked to the span's valid lanes.
+/// Both `d` and `a` arrive masked to the window's valid lanes.
 #[allow(clippy::too_many_arguments)]
-fn absorb_block<const BW: usize>(
+fn absorb_block<const BW: usize, F>(
     d: [u64; BW],
     mut a: [u64; BW],
-    run: &mut FaultRun,
+    run: &mut FaultRun<F>,
     base: usize,
     p0: usize,
     drop: bool,
@@ -426,56 +455,48 @@ fn absorb_block<const BW: usize>(
 /// Runs one block for one fault: activation screen, frontier propagation,
 /// tally/detection fold. Returns 1 if the cone was actually propagated.
 #[allow(clippy::too_many_arguments)]
-fn fault_block<const BW: usize>(
+#[inline(always)]
+fn fault_block<const BW: usize, F: Injectable>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
     fr: &mut Frontier,
-    run: &mut FaultRun,
-    good: &[u64],
-    word_mask: &[u64],
-    stride: usize,
+    run: &mut FaultRun<F>,
+    win: &Window<'_>,
     base: usize,
-    p0: usize,
-    drop: bool,
     det: &mut Vec<(usize, usize, FaultId)>,
     out: &mut WorkerOut,
     gate_evals: &mut u64,
 ) -> u64 {
-    // Activation screen: lanes where the good site value opposes the stuck
-    // value. All-zero means the faulty machine is identical in this block —
-    // no detection, no activation, nothing to do.
-    let g0 = run.src * stride + base;
+    // Activation screen: all-zero means the faulty machine is identical in
+    // this block — no detection, no activation, nothing to do.
     let mut a = [0u64; BW];
     let mut any = 0u64;
-    for w in 0..BW {
-        let g = good[g0 + w];
-        a[w] = (if run.invert { !g } else { g }) & word_mask[base + w];
-        any |= a[w];
+    for (w, aw) in a.iter_mut().enumerate() {
+        let word = |n: usize| win.good[n * win.stride + base + w];
+        *aw = run.fault.activation(ctx.gates, word) & win.word_mask[base + w];
+        any |= *aw;
     }
     if any == 0 {
         return 0;
     }
-    let d = propagate::<BW>(
-        ctx, levels, fr, run, good, word_mask, stride, base, gate_evals,
-    );
-    absorb_block::<BW>(d, a, run, base, p0, drop, out, det);
+    let d = propagate::<BW, F>(ctx, levels, fr, &run.fault, win, base, gate_evals);
+    absorb_block::<BW, F>(d, a, run, base, win.p0, ctx.config.drop_detected, out, det);
     1
 }
 
-/// The kernel's counterpart of [`crate::engine::run_batches`]: simulates a
-/// contiguous range of batches over the pattern window and returns the same
-/// per-batch detection logs (serial `(pattern, lane)` order within each
-/// batch) and exact per-pattern tallies. `W` is the block width in words;
-/// spans that don't fill a wide block fall through to the 64-bit remainder
-/// path, and drop mode probes each fault's first `W` words as narrow
-/// blocks before graduating to wide ones.
-pub(crate) fn run_batches_kernel<const W: usize>(
+/// The kernel's counterpart of the event path's `run_batches`: simulates a
+/// contiguous range of batches over the whole pattern sequence, window by
+/// window, and returns the same per-batch detection logs (serial
+/// `(pattern, lane)` order within each batch) and exact per-pattern
+/// tallies. Blocks are `WIDE` words where a window has room for them and
+/// 64-bit remainders elsewhere; drop mode probes each fault's first `WIDE`
+/// words as narrow blocks before graduating it to wide ones.
+pub(crate) fn run_batches_kernel<F: Injectable>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
-    batches: &[Vec<(FaultId, Fault)>],
+    batches: &[Vec<(FaultId, F)>],
     obs: Obs<'_>,
     first_batch: usize,
-    pat_range: (usize, usize),
 ) -> WorkerOut {
     debug_assert!(
         ctx.dff_nets.is_empty(),
@@ -488,129 +509,132 @@ pub(crate) fn run_batches_kernel<const W: usize>(
 
     let n_pat = ctx.patterns.len();
     let n_gates = ctx.gates.len();
-    let (p0, p1) = pat_range;
-    let span = p1 - p0;
     let mut out = WorkerOut {
         detections: Vec::with_capacity(batches.len()),
         activated: vec![0u32; n_pat],
         detected: vec![0u32; n_pat],
     };
-    if span == 0 || n_gates == 0 {
-        out.detections.extend(batches.iter().map(|_| Vec::new()));
-        return out;
-    }
+    let mut runs: Vec<Vec<FaultRun<F>>> = batches
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .enumerate()
+                .map(|(lane0, &(fid, fault))| FaultRun {
+                    fid,
+                    fault,
+                    lane: lane0 + 1,
+                    detected_at: None,
+                })
+                .collect()
+        })
+        .collect();
+    let mut dets: Vec<Vec<(usize, usize, FaultId)>> = vec![Vec::new(); batches.len()];
 
-    let stride = span.div_ceil(64);
-    // Valid-pattern masks: all-ones except the span's tail word.
-    let mut word_mask = vec![!0u64; stride];
-    if span % 64 != 0 {
-        word_mask[stride - 1] = (1u64 << (span % 64)) - 1;
-    }
-
-    // Transpose the pattern window: one `stride`-word row per input bit.
-    let mut in_words = vec![0u64; ctx.in_nets.len() * stride];
-    for bit_pos in 0..ctx.in_nets.len() {
-        let row = &mut in_words[bit_pos * stride..][..stride];
-        for t in 0..span {
-            if ctx.patterns.bit(p0 + t, bit_pos) {
-                row[t >> 6] |= 1u64 << (t & 63);
-            }
-        }
-    }
     let mut in_slot = vec![u32::MAX; n_gates];
     for (i, &net) in ctx.in_nets.iter().enumerate() {
         in_slot[net] = i as u32;
     }
-
-    // Good machine once for the whole span: wide blocks, then remainders.
-    let mut kernel_span = obs.span("fsim", "fsim.kernel");
-    let mut good = vec![0u64; n_gates * stride];
-    let wide_end = stride - stride % W;
-    let mut base = 0usize;
-    while base < wide_end {
-        good_block::<W>(levels, &in_slot, &in_words, &mut good, stride, base);
-        base += W;
-    }
-    while base < stride {
-        good_block::<1>(levels, &in_slot, &in_words, &mut good, stride, base);
-        base += 1;
-    }
-    let blocks = (wide_end / W) + (stride - wide_end);
-    if obs.enabled() {
-        kernel_span.arg("width", W * 64);
-        kernel_span.arg("blocks", blocks);
-        kernel_span.arg("rank_count", levels.ranks());
-        local.add("fsim.batches", batches.len() as u64);
-        local.add("fsim.kernel.blocks", blocks as u64);
-    }
+    // Buffers hold one window; shorter sequences need only their own span.
+    let max_stride = WINDOW.min(n_pat).div_ceil(64);
+    let mut good = vec![0u64; n_gates * max_stride];
+    let mut in_words = vec![0u64; ctx.in_nets.len() * max_stride];
+    let mut word_mask = vec![0u64; max_stride];
 
     let drop = ctx.config.drop_detected;
     let mut fr = Frontier::new(ctx, levels);
+    let mut kernel_span = obs.span("fsim", "fsim.kernel");
+    let mut blocks = 0u64;
     let mut fault_blocks = 0u64;
     let mut gate_evals = 0u64;
 
-    for batch in batches {
-        let mut det: Vec<(usize, usize, FaultId)> = Vec::new();
-        for (lane0, &(fid, f)) in batch.iter().enumerate() {
-            let mut run = FaultRun {
-                fid,
-                fault: f,
-                lane: lane0 + 1,
-                invert: f.polarity.value(),
-                src: match f.site {
-                    FaultSite::Output(n) => n.index(),
-                    FaultSite::InputPin(n, p) => ctx.gates[n.index()].pins[p as usize].index(),
-                },
-                detected_at: None,
-            };
-            let mut base = 0usize;
-            while base < stride {
-                if drop && run.detected_at.is_some() {
-                    break;
-                }
-                // Drop-mode probe: most faults detect within the first few
-                // dozen patterns, so their first `W` words run as narrow
-                // blocks; survivors use full-width blocks where aligned.
-                let wide_ok = base.is_multiple_of(W) && base + W <= stride && !(drop && base < W);
-                if wide_ok {
-                    fault_blocks += fault_block::<W>(
-                        ctx,
-                        levels,
-                        &mut fr,
-                        &mut run,
-                        &good,
-                        &word_mask,
-                        stride,
-                        base,
-                        p0,
-                        drop,
-                        &mut det,
-                        &mut out,
-                        &mut gate_evals,
-                    );
-                    base += W;
-                } else {
-                    fault_blocks += fault_block::<1>(
-                        ctx,
-                        levels,
-                        &mut fr,
-                        &mut run,
-                        &good,
-                        &word_mask,
-                        stride,
-                        base,
-                        p0,
-                        drop,
-                        &mut det,
-                        &mut out,
-                        &mut gate_evals,
-                    );
-                    base += 1;
+    for p0 in (0..n_pat).step_by(WINDOW) {
+        let span = WINDOW.min(n_pat - p0);
+        let stride = span.div_ceil(64);
+        // Valid-pattern masks: all-ones except the window's tail word.
+        word_mask.fill(!0);
+        if !span.is_multiple_of(64) {
+            word_mask[stride - 1] = (1u64 << (span % 64)) - 1;
+        }
+        // Transpose the window: one `stride`-word row per input bit.
+        let in_words = &mut in_words[..ctx.in_nets.len() * stride];
+        in_words.fill(0);
+        for bit_pos in 0..ctx.in_nets.len() {
+            let row = &mut in_words[bit_pos * stride..][..stride];
+            for t in 0..span {
+                if ctx.patterns.bit(p0 + t, bit_pos) {
+                    row[t >> 6] |= 1u64 << (t & 63);
                 }
             }
         }
-        // Serial order within a batch is pattern-major, then lane: restore
-        // it so the engine's batch-major merge is byte-identical.
+
+        // Good machine once for the window: wide blocks, then remainders.
+        let good = &mut good[..n_gates * stride];
+        let wide_end = stride - stride % WIDE;
+        let mut base = 0usize;
+        while base < wide_end {
+            good_block::<WIDE>(levels, &in_slot, in_words, good, stride, base);
+            base += WIDE;
+        }
+        while base < stride {
+            good_block::<1>(levels, &in_slot, in_words, good, stride, base);
+            base += 1;
+        }
+        blocks += ((wide_end / WIDE) + (stride - wide_end)) as u64;
+
+        let win = Window {
+            good,
+            word_mask: &word_mask,
+            stride,
+            p0,
+        };
+        for (batch_runs, det) in runs.iter_mut().zip(dets.iter_mut()) {
+            for run in batch_runs.iter_mut() {
+                let mut base = 0usize;
+                while base < stride {
+                    if drop && run.detected_at.is_some() {
+                        break;
+                    }
+                    // Drop-mode probe: most faults detect within the first
+                    // few dozen patterns, so their first `WIDE` words run as
+                    // narrow blocks; survivors use full-width blocks where
+                    // aligned.
+                    let probing = drop && p0 == 0 && base < WIDE;
+                    if base + WIDE <= stride && !probing {
+                        fault_blocks += fault_block::<WIDE, F>(
+                            ctx,
+                            levels,
+                            &mut fr,
+                            run,
+                            &win,
+                            base,
+                            det,
+                            &mut out,
+                            &mut gate_evals,
+                        );
+                        base += WIDE;
+                    } else {
+                        fault_blocks += fault_block::<1, F>(
+                            ctx,
+                            levels,
+                            &mut fr,
+                            run,
+                            &win,
+                            base,
+                            det,
+                            &mut out,
+                            &mut gate_evals,
+                        );
+                        base += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    // Serial order within a batch is pattern-major, then lane: restore it
+    // so the engine's batch-major merge is byte-identical.
+    for mut det in dets {
         det.sort_unstable();
         out.detections.push(
             det.into_iter()
@@ -620,6 +644,12 @@ pub(crate) fn run_batches_kernel<const W: usize>(
     }
 
     if obs.enabled() {
+        kernel_span.arg("width", WIDE * 64);
+        kernel_span.arg("window", WINDOW);
+        kernel_span.arg("blocks", blocks);
+        kernel_span.arg("rank_count", levels.ranks());
+        local.add("fsim.batches", batches.len() as u64);
+        local.add("fsim.kernel.blocks", blocks);
         local.add("fsim.kernel.fault_blocks", fault_blocks);
         local.add("fsim.kernel.cone_gates", gate_evals);
     }

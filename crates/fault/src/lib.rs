@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 //! # warpstl-fault
 //!
-//! Stuck-at fault modelling and fault simulation for the gate-level modules
-//! of [`warpstl-netlist`](warpstl_netlist).
+//! Fault modelling (stuck-at, bridging, transition delay) and fault
+//! simulation for the gate-level modules of
+//! [`warpstl-netlist`](warpstl_netlist).
 //!
 //! The crate provides:
 //!
@@ -12,15 +13,21 @@
 //!   equivalence collapsing;
 //! - [`FaultList`] — the mutable detection ledger the compaction flow
 //!   shares across test programs (the paper's *fault dropping* mechanism);
-//! - [`fault_simulate`] — a parallel-fault (63 faults + 1 good machine per
-//!   machine word) simulator over timestamped pattern sequences, producing
-//!   the per-cycle *Fault Sim Report* the instruction-labeling stage
-//!   consumes.
+//! - [`fault_simulate`] — the one fault-simulation entry point, generic over
+//!   the fault model ([`Injectable`]: stuck-at [`Fault`]s and sampled
+//!   [`BridgeFault`]s), simulating timestamped pattern sequences with a
+//!   levelized pattern-parallel kernel (combinational netlists) or a
+//!   fault-parallel event path (63 faults + 1 good machine per machine
+//!   word), and producing the per-cycle *Fault Sim Report* the
+//!   instruction-labeling stage consumes;
+//! - [`fault_simulate_reference`] — the serial stuck-at oracle the engine
+//!   is tested against, and [`tdf::tdf_simulate`] for transition-delay
+//!   faults.
 //!
 //! # Examples
 //!
 //! ```
-//! use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+//! use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 //! use warpstl_netlist::{Builder, PatternSeq};
 //!
 //! let mut b = Builder::new("and2");
@@ -38,13 +45,13 @@
 //! patterns.push_value(1, 0b01); // x=1, y=0
 //! patterns.push_value(2, 0b10);
 //!
-//! let report = fault_simulate(&netlist, &patterns, &mut list, &FaultSimConfig::default());
+//! let config = FaultSimConfig::default();
+//! let report = fault_simulate(&netlist, &patterns, &mut list, &config, None, &SimGuide::default());
 //! assert_eq!(list.coverage(), 1.0); // the AND gate is fully testable
 //! assert!(report.total_detected() > 0);
 //! ```
 
 mod bridge;
-mod dominance;
 pub mod engine;
 mod fault;
 mod kernel;
@@ -54,17 +61,10 @@ mod sim;
 pub mod tdf;
 mod universe;
 
-pub use bridge::{
-    bridge_simulate, bridge_simulate_observed, BridgeConfig, BridgeFault, BridgeKind, BridgeList,
-    BridgeUniverse, FaultModel,
-};
-pub use dominance::DominanceView;
+pub use bridge::{BridgeConfig, BridgeFault, BridgeKind, BridgeList, BridgeUniverse, FaultModel};
 pub use engine::host_parallelism;
-pub use fault::{Fault, FaultSite, Polarity};
+pub use fault::{Fault, FaultSite, Injectable, Polarity};
 pub use list::{FaultId, FaultList, FaultStatus};
 pub use report::{FaultSimReport, PatternStats};
-pub use sim::{
-    fault_simulate, fault_simulate_guided, fault_simulate_observed, fault_simulate_reference,
-    FaultSimConfig, SimBackend, SimGuide,
-};
+pub use sim::{fault_simulate, fault_simulate_reference, FaultSimConfig, SimBackend, SimGuide};
 pub use universe::FaultUniverse;

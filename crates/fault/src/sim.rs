@@ -1,8 +1,9 @@
-//! Parallel-fault stuck-at simulation over pattern sequences.
+//! The fault-simulation entry point, its configuration, and the serial
+//! stuck-at reference engine.
 
 use warpstl_netlist::{GateKind, Levelization, Netlist, PatternSeq};
 
-use crate::{DominanceView, FaultId, FaultList, FaultSimReport, FaultSite, Polarity};
+use crate::{FaultId, FaultList, FaultSimReport, FaultSite, Injectable, Polarity};
 
 /// Which simulation path the engine runs.
 ///
@@ -17,32 +18,27 @@ pub enum SimBackend {
     /// kernel for combinational netlists and the event path otherwise.
     #[default]
     Auto,
-    /// The event-style engine: per-gate dispatch over 63-fault batch words,
-    /// one pattern at a time. The only path that carries flip-flop state,
-    /// so sequential netlists always use it.
+    /// The event-style loop: per-gate dispatch over 63-fault batch words,
+    /// one pattern at a time. The only loop that carries flip-flop state,
+    /// so sequential netlists always use it; it is also the test oracle
+    /// for the kernel.
     Event,
     /// The levelized SoA kernel: rank-major, kind-segmented evaluation over
-    /// 256-bit pattern blocks (4×u64), one fault cone at a time, with a
-    /// 64-bit remainder path. Combinational only — sequential netlists fall
-    /// back to [`SimBackend::Event`].
+    /// 256-bit pattern blocks (4×u64) in fixed pattern windows, one fault
+    /// at a time, with a 64-bit remainder path. Combinational only —
+    /// sequential netlists fall back to [`SimBackend::Event`].
     Kernel,
-    /// The kernel restricted to 64-bit blocks (the remainder path for every
-    /// block). Exists so benches and tests can compare block widths; `auto`
-    /// never resolves to it.
-    Kernel64,
 }
 
 impl SimBackend {
-    /// Parses a backend name (`auto`, `event`, `kernel`, or the
-    /// bench-oriented `kernel64`), case-insensitively. Returns `None` for
-    /// anything else.
+    /// Parses a backend name (`auto`, `event`, or `kernel`),
+    /// case-insensitively. Returns `None` for anything else.
     #[must_use]
     pub fn parse(s: &str) -> Option<SimBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(SimBackend::Auto),
             "event" => Some(SimBackend::Event),
             "kernel" => Some(SimBackend::Kernel),
-            "kernel64" => Some(SimBackend::Kernel64),
             _ => None,
         }
     }
@@ -54,7 +50,6 @@ impl std::fmt::Display for SimBackend {
             SimBackend::Auto => "auto",
             SimBackend::Event => "event",
             SimBackend::Kernel => "kernel",
-            SimBackend::Kernel64 => "kernel64",
         })
     }
 }
@@ -98,9 +93,9 @@ impl FaultSimConfig {
     /// The backend this configuration resolves to for a netlist that is
     /// (`combinational == true`) or is not purely combinational: `backend`
     /// if not [`SimBackend::Auto`], else `WARPSTL_SIM_BACKEND`, else auto —
-    /// with every kernel choice falling back to [`SimBackend::Event`] on
-    /// sequential netlists (only the event path carries flip-flop state).
-    /// Never returns `Auto`, `Kernel`, or `Kernel64` for sequential input.
+    /// with the kernel falling back to [`SimBackend::Event`] on sequential
+    /// netlists (only the event path carries flip-flop state). Never
+    /// returns `Auto`, nor `Kernel` for sequential input.
     #[must_use]
     pub fn resolved_backend(&self, combinational: bool) -> SimBackend {
         crate::engine::resolve_backend(self, combinational)
@@ -119,18 +114,13 @@ impl Default for FaultSimConfig {
 }
 
 /// Static-analysis guidance for a fault-simulation run — the bridge from
-/// `warpstl-analyze` to the engine without a crate dependency: the
-/// analyzer's SCOAP observability scores travel as a plain per-net slice,
-/// and the universe's own [`DominanceView`] travels by reference.
+/// `warpstl-analyze` and the module context to the engine without a crate
+/// dependency.
 ///
-/// Every field is optional and independent; the default (all `None`)
-/// makes [`fault_simulate_guided`] behave exactly like [`fault_simulate`].
+/// Both fields are optional and independent; the default (all `None`)
+/// simulates every target with a per-run levelization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimGuide<'a> {
-    /// Dominance-reduced view of the target universe: removed dominator
-    /// classes inherit detection from their supporters instead of being
-    /// simulated directly (drop mode only; identity views are ignored).
-    pub dominance: Option<&'a DominanceView>,
     /// Per-fault untestability bitmap, indexed by [`FaultId`]: classes the
     /// static implication engine proved redundant are excluded from the
     /// target list entirely — they can never be detected, so the detected
@@ -139,32 +129,35 @@ pub struct SimGuide<'a> {
     /// with the target set, this field participates in cache keys
     /// (`key_fsim`), unlike `levels`.
     pub untestable: Option<&'a [bool]>,
-    /// Per-net observability cost (higher = harder to observe), indexed
-    /// by gate: targets are stably reordered hardest-first before
-    /// batching so each batch holds faults of similar difficulty.
-    pub order_keys: Option<&'a [f64]>,
     /// Precomputed [`Levelization`] of the netlist (rank-major SoA layout
     /// for the levelized kernel). Purely an accelerator: when `None` the
     /// engine levelizes on demand, and the results are identical either
-    /// way, so — unlike the two fields above — this never enters cache
-    /// keys. Callers holding a `ModuleContext` pass its cached copy.
+    /// way, so this never enters cache keys. Callers holding a
+    /// `ModuleContext` pass its cached copy.
     pub levels: Option<&'a Levelization>,
 }
 
 /// Runs one fault simulation of `patterns` against `netlist`, updating
-/// `list` and returning the per-pattern Fault Sim Report.
+/// `list` and returning the per-pattern Fault Sim Report. The one entry
+/// point for every fault model: stuck-at ([`Fault`](crate::Fault)) and
+/// bridging ([`BridgeFault`](crate::BridgeFault)) lists alike, through any
+/// [`Injectable`] model.
 ///
-/// The simulator packs 63 faulty machines plus the good machine into each
-/// 64-bit word (parallel-fault simulation) and observes discrepancies at
-/// the module outputs — the paper's *module-level fault observability*.
-/// Sequential netlists are supported: each fault lane carries its own
-/// flip-flop state.
+/// Faults are simulated in independent 63-fault batches, pruned to the
+/// fanout cone of their injection sites and fanned out over
+/// [`FaultSimConfig::threads`] workers (see [`crate::engine`]). Each worker
+/// runs the levelized kernel on combinational netlists and the event path
+/// — 63 faulty machines plus the good machine per 64-bit word, one pattern
+/// at a time, with per-lane flip-flop state — otherwise. Discrepancies are
+/// observed at the module outputs (the paper's *module-level fault
+/// observability*). The report is bit-identical for every thread count and
+/// backend, and to the serial [`fault_simulate_reference`].
 ///
-/// Fault batches are independent, so the engine prunes each batch to the
-/// fanout cone of its injection sites and fans batches out over
-/// [`FaultSimConfig::threads`] workers (see [`crate::engine`] — the report
-/// is bit-identical for every thread count, and to the serial
-/// [`fault_simulate_reference`]).
+/// When `obs` is `Some(recorder)`, the engine emits `fsim.run` /
+/// `fsim.worker` / `fsim.group` / `fsim.kernel` spans and its internal
+/// counters (batches, cone-prune sizes, detections, activations, early
+/// exits); with `None` it reads no clock and takes no lock. `guide`
+/// carries static pruning and a cached levelization (see [`SimGuide`]).
 ///
 /// # Panics
 ///
@@ -173,7 +166,7 @@ pub struct SimGuide<'a> {
 /// # Examples
 ///
 /// ```
-/// use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+/// use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 /// use warpstl_netlist::{Builder, PatternSeq};
 ///
 /// let mut b = Builder::new("xor2");
@@ -189,90 +182,20 @@ pub struct SimGuide<'a> {
 /// for (cc, v) in [(0, 0b00), (1, 0b01), (2, 0b10), (3, 0b11)] {
 ///     pats.push_value(cc, v);
 /// }
-/// let report = fault_simulate(&n, &pats, &mut list, &FaultSimConfig::default());
+/// let cfg = FaultSimConfig::default();
+/// let report = fault_simulate(&n, &pats, &mut list, &cfg, None, &SimGuide::default());
 /// assert_eq!(list.coverage(), 1.0); // exhaustive patterns test XOR fully
 /// assert_eq!(report.total_detected() as usize, list.len());
 /// ```
-pub fn fault_simulate(
+pub fn fault_simulate<F: Injectable>(
     netlist: &Netlist,
     patterns: &PatternSeq,
-    list: &mut FaultList,
-    config: &FaultSimConfig,
-) -> FaultSimReport {
-    crate::engine::simulate(netlist, patterns, list, config, None)
-}
-
-/// [`fault_simulate`] with an observability handle: when `obs` is
-/// `Some(recorder)`, the engine emits `fsim.run` / `fsim.worker` /
-/// `fsim.group` spans and its internal counters (batches, cone-prune
-/// sizes, detections, activations, early exits) into the recorder. With
-/// `None` this is exactly [`fault_simulate`] — the disabled path reads no
-/// clock and takes no lock.
-///
-/// # Panics
-///
-/// Panics if `patterns.width()` differs from the netlist's input width.
-pub fn fault_simulate_observed(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut FaultList,
-    config: &FaultSimConfig,
-    obs: warpstl_obs::Obs<'_>,
-) -> FaultSimReport {
-    crate::engine::simulate(netlist, patterns, list, config, obs)
-}
-
-/// [`fault_simulate`] guided by static analysis: a [`SimGuide`] carrying
-/// an optional [`DominanceView`] (simulate fewer classes, inherit the
-/// rest) and optional per-net observability keys (order targets
-/// hardest-first so batches early-exit together).
-///
-/// The *detected fault set* — and therefore [`FaultList::coverage`] — is
-/// identical to the unguided run over the same patterns: dominators
-/// inherit detection only from supporters whose tests provably detect
-/// them, and uninherited dominators are still simulated in a residual
-/// pass. Detection stamps of inherited faults may differ (they take the
-/// supporter's earliest stamp).
-///
-/// # Panics
-///
-/// Panics if `patterns.width()` differs from the netlist's input width.
-///
-/// # Examples
-///
-/// ```
-/// use warpstl_fault::{
-///     fault_simulate_guided, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
-/// };
-/// use warpstl_netlist::{Builder, PatternSeq};
-///
-/// let mut b = Builder::new("and2");
-/// let x = b.input("x");
-/// let y = b.input("y");
-/// let z = b.and(x, y);
-/// b.output("z", z);
-/// let n = b.finish();
-///
-/// let universe = FaultUniverse::enumerate(&n);
-/// let dominance = universe.dominance(&n);
-/// let mut list = FaultList::new(&universe);
-/// let mut pats = PatternSeq::new(2);
-/// for (cc, v) in [(0, 0b11), (1, 0b01), (2, 0b10)] {
-///     pats.push_value(cc, v);
-/// }
-/// let guide = SimGuide { dominance: Some(&dominance), ..SimGuide::default() };
-/// fault_simulate_guided(&n, &pats, &mut list, &FaultSimConfig::default(), None, &guide);
-/// assert_eq!(list.coverage(), 1.0); // identical to the unguided run
-/// ```
-pub fn fault_simulate_guided(
-    netlist: &Netlist,
-    patterns: &PatternSeq,
-    list: &mut FaultList,
+    list: &mut FaultList<F>,
     config: &FaultSimConfig,
     obs: warpstl_obs::Obs<'_>,
     guide: &SimGuide<'_>,
 ) -> FaultSimReport {
-    crate::engine::simulate_guided(netlist, patterns, list, config, obs, guide)
+    crate::engine::simulate(netlist, patterns, list, config, obs, guide)
 }
 
 /// The original single-threaded engine, kept as the oracle for the parallel
@@ -540,7 +463,14 @@ mod tests {
         let n = and2();
         let u = FaultUniverse::enumerate(&n);
         let mut l = FaultList::new(&u);
-        let r = fault_simulate(&n, &exhaustive(2), &mut l, &FaultSimConfig::default());
+        let r = fault_simulate(
+            &n,
+            &exhaustive(2),
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         assert_eq!(l.coverage(), 1.0, "{l}");
         assert_eq!(r.total_detected() as usize, u.collapsed_len());
     }
@@ -553,7 +483,14 @@ mod tests {
         let mut l = FaultList::new(&u);
         let mut p = PatternSeq::new(2);
         p.push_value(0, 0b11);
-        fault_simulate(&n, &p, &mut l, &FaultSimConfig::default());
+        fault_simulate(
+            &n,
+            &p,
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         assert!(l.coverage() > 0.0 && l.coverage() < 1.0);
         // The detected class is the big SA0 class (5 of 10 faults).
         assert!((l.coverage() - 0.5).abs() < 1e-9, "{}", l.coverage());
@@ -565,10 +502,10 @@ mod tests {
         let u = FaultUniverse::enumerate(&n);
         let mut l = FaultList::new(&u);
         let cfg = FaultSimConfig::default();
-        let r1 = fault_simulate(&n, &exhaustive(2), &mut l, &cfg);
+        let r1 = fault_simulate(&n, &exhaustive(2), &mut l, &cfg, None, &SimGuide::default());
         assert!(r1.total_detected() > 0);
         // Second run with dropping: nothing left to detect.
-        let r2 = fault_simulate(&n, &exhaustive(2), &mut l, &cfg);
+        let r2 = fault_simulate(&n, &exhaustive(2), &mut l, &cfg, None, &SimGuide::default());
         assert_eq!(r2.total_detected(), 0);
     }
 
@@ -586,7 +523,7 @@ mod tests {
         let mut p = PatternSeq::new(2);
         p.push_value(0, 0b11);
         p.push_value(1, 0b11);
-        let r = fault_simulate(&n, &p, &mut l, &cfg);
+        let r = fault_simulate(&n, &p, &mut l, &cfg, None, &SimGuide::default());
         assert_eq!(r.patterns()[0].detected, r.patterns()[1].detected);
         assert!(r.patterns()[1].detected > 0);
     }
@@ -599,7 +536,14 @@ mod tests {
         let mut p = PatternSeq::new(2);
         p.push_value(100, 0b00);
         p.push_value(200, 0b11);
-        fault_simulate(&n, &p, &mut l, &FaultSimConfig::default());
+        fault_simulate(
+            &n,
+            &p,
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         for (_, cc, _, _) in l.detected() {
             assert!(cc == 100 || cc == 200);
         }
@@ -623,7 +567,14 @@ mod tests {
         p.push_value(1, 0);
         p.push_value(2, 1);
         p.push_value(3, 0);
-        fault_simulate(&n, &p, &mut l, &FaultSimConfig::default());
+        fault_simulate(
+            &n,
+            &p,
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         // Both classes (x/SA0 ≡ d/SA0 ≡ q/SA0 and the SA1 dual) are
         // observable: SA1 directly at cc 0 (q stuck high while the state is
         // still 0), SA0 only after a 1 has been clocked through.
@@ -643,7 +594,14 @@ mod tests {
         let mut l = FaultList::new(&u);
         let mut p = PatternSeq::new(2);
         p.push_value(0, 0b01); // x=1, y=0
-        let r = fault_simulate(&n, &p, &mut l, &FaultSimConfig::default());
+        let r = fault_simulate(
+            &n,
+            &p,
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         let stats = r.patterns()[0];
         assert!(stats.activated > stats.detected, "{stats:?}");
     }
@@ -666,7 +624,14 @@ mod tests {
             let bits: Vec<bool> = (0..width).map(|b| (x >> (b % 64)) & 1 == 1).collect();
             p.push_bits(cc, &bits);
         }
-        let r = fault_simulate(&n, &p, &mut l, &FaultSimConfig::default());
+        let r = fault_simulate(
+            &n,
+            &p,
+            &mut l,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         let listed = l.detected().count() as u32;
         assert_eq!(listed, r.total_detected());
         assert!(l.coverage() > 0.1, "{l}");

@@ -451,7 +451,8 @@ mod tests {
 
         let u = crate::FaultUniverse::enumerate(&n);
         let mut sa = crate::FaultList::new(&u);
-        crate::fault_simulate(&n, &p, &mut sa, &FaultSimConfig::default());
+        let cfg = FaultSimConfig::default();
+        crate::fault_simulate(&n, &p, &mut sa, &cfg, None, &crate::SimGuide::default());
         assert!(
             tdf.coverage() < sa.coverage(),
             "TDF {} >= SA {}",

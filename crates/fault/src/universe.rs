@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use warpstl_netlist::{GateKind, NetId, Netlist};
 
-use crate::{DominanceView, Fault, FaultId, FaultSite, Polarity};
+use crate::{Fault, FaultId, FaultSite, Polarity};
 
 /// The complete single-stuck-at fault universe of a netlist, collapsed by
 /// structural equivalence.
@@ -36,8 +36,8 @@ pub struct FaultUniverse {
     representatives: Vec<Fault>,
     class_sizes: Vec<u32>,
     /// Every enumerated fault mapped to the index of its representative in
-    /// `representatives` — the lookup dominance analysis lifts fault-level
-    /// relations to class level with.
+    /// `representatives` — the lookup that lifts fault-level facts (such as
+    /// untestability proofs) to class level.
     rep_of: HashMap<Fault, u32>,
     total: usize,
 }
@@ -204,16 +204,6 @@ impl FaultUniverse {
     #[must_use]
     pub fn rep_of(&self, fault: Fault) -> Option<FaultId> {
         self.rep_of.get(&fault).map(|&i| i as usize)
-    }
-
-    /// Layers fault-dominance collapsing on top of the equivalence
-    /// classes: a [`DominanceView`] naming which classes can be removed
-    /// from direct simulation because detecting one of their *supporters*
-    /// implies their detection. Identity (nothing removed) for sequential
-    /// netlists, where per-pattern dominance does not hold.
-    #[must_use]
-    pub fn dominance(&self, netlist: &Netlist) -> DominanceView {
-        DominanceView::build(self, netlist)
     }
 }
 

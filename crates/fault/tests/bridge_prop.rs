@@ -5,16 +5,17 @@
 //!    first-detection stamps match a trivial scalar oracle that re-evaluates
 //!    the whole netlist per fault per assignment with the wired value
 //!    forced at both endpoints.
-//! 2. The event and kernel bridge paths are **bit-identical** — same
-//!    report (detections, stamps, tallies) and same list state — in drop
-//!    and non-drop mode.
+//! 2. The engine's event and kernel loops are **bit-identical** on bridges
+//!    — same report (detections, stamps, tallies) and same list state — in
+//!    drop and non-drop mode, on random netlists and on a real module
+//!    across the kernel's pattern-window boundaries.
 //! 3. Non-drop per-pattern activation tallies equal the count of bridges
 //!    whose endpoint values differ under that assignment.
 
 use proptest::prelude::*;
 
 use warpstl_fault::{
-    bridge_simulate, BridgeConfig, BridgeFault, BridgeUniverse, FaultSimConfig, SimBackend,
+    fault_simulate, BridgeConfig, BridgeFault, BridgeUniverse, FaultSimConfig, SimBackend, SimGuide,
 };
 use warpstl_netlist::{Builder, GateKind, NetId, Netlist, PatternSeq};
 
@@ -47,6 +48,22 @@ fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
         b.output(&format!("o{k}"), net);
     }
     b.finish()
+}
+
+fn pseudorandom_patterns(width: usize, count: usize, mut seed: u64) -> PatternSeq {
+    let mut p = PatternSeq::new(width);
+    for cc in 0..count {
+        let bits: Vec<bool> = (0..width)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed & 1 == 1
+            })
+            .collect();
+        p.push_bits(cc as u64, &bits);
+    }
+    p
 }
 
 fn exhaustive(width: usize) -> PatternSeq {
@@ -136,7 +153,7 @@ proptest! {
         let patterns = exhaustive(width);
 
         let mut list = universe.new_list();
-        bridge_simulate(&netlist, &patterns, &mut list, &FaultSimConfig::default());
+        fault_simulate(&netlist, &patterns, &mut list, &FaultSimConfig::default(), None, &SimGuide::default());
 
         for (id, &f) in universe.faults().iter().enumerate() {
             let expected = oracle_first_detection(&netlist, f, width);
@@ -177,10 +194,10 @@ proptest! {
         };
 
         let mut event_list = universe.new_list();
-        let event = bridge_simulate(&netlist, &patterns, &mut event_list, &cfg(SimBackend::Event));
+        let event = fault_simulate(&netlist, &patterns, &mut event_list, &cfg(SimBackend::Event), None, &SimGuide::default());
         let mut kernel_list = universe.new_list();
         let kernel =
-            bridge_simulate(&netlist, &patterns, &mut kernel_list, &cfg(SimBackend::Kernel));
+            fault_simulate(&netlist, &patterns, &mut kernel_list, &cfg(SimBackend::Kernel), None, &SimGuide::default());
 
         prop_assert_eq!(&kernel, &event, "report diverged");
         prop_assert_eq!(
@@ -210,7 +227,7 @@ proptest! {
             backend: SimBackend::Event,
         };
         let mut list = universe.new_list();
-        let report = bridge_simulate(&netlist, &patterns, &mut list, &cfg);
+        let report = fault_simulate(&netlist, &patterns, &mut list, &cfg, None, &SimGuide::default());
 
         for (t, stats) in report.patterns().iter().enumerate() {
             let good = scalar_eval(&netlist, t as u64, None);
@@ -220,6 +237,56 @@ proptest! {
                 .filter(|f| good[f.a.index()] != good[f.b.index()])
                 .count() as u32;
             prop_assert_eq!(stats.activated, expected, "pattern {}", t);
+        }
+    }
+}
+
+/// The event/kernel identity on a real module's sampled bridges, across
+/// the kernel's 1024-pattern window boundaries (one short of a window, one
+/// past it, and two windows plus a masked tail), with threading in the mix.
+#[test]
+fn module_bridge_kernel_identity_across_windows() {
+    let netlist = warpstl_netlist::modules::ModuleKind::DecoderUnit.build();
+    let universe = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
+    assert!(!universe.is_empty());
+    for n_pat in [1023usize, 1025, 2148] {
+        let patterns =
+            pseudorandom_patterns(netlist.inputs().width(), n_pat, 0xb41d ^ n_pat as u64);
+        for drop in [true, false] {
+            for threads in [1usize, 2] {
+                let cfg = |backend| FaultSimConfig {
+                    drop_detected: drop,
+                    early_exit: drop,
+                    threads,
+                    backend,
+                };
+                let guide = SimGuide::default();
+                let mut event_list = universe.new_list();
+                let event = fault_simulate(
+                    &netlist,
+                    &patterns,
+                    &mut event_list,
+                    &cfg(SimBackend::Event),
+                    None,
+                    &guide,
+                );
+                let mut kernel_list = universe.new_list();
+                let kernel = fault_simulate(
+                    &netlist,
+                    &patterns,
+                    &mut kernel_list,
+                    &cfg(SimBackend::Kernel),
+                    None,
+                    &guide,
+                );
+                let at = format!("{n_pat} patterns, drop={drop}, {threads} threads");
+                assert_eq!(kernel, event, "{at}");
+                assert_eq!(
+                    kernel_list.to_report_text(),
+                    event_list.to_report_text(),
+                    "{at}"
+                );
+            }
         }
     }
 }

@@ -6,8 +6,7 @@
 //! observability counters.
 
 use warpstl_fault::{
-    fault_simulate, fault_simulate_observed, fault_simulate_reference, FaultList, FaultSimConfig,
-    FaultUniverse,
+    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
@@ -53,12 +52,13 @@ fn zero_patterns_record_an_empty_run() {
     let rec = Recorder::new();
 
     let mut list = FaultList::new(&universe);
-    let report = fault_simulate_observed(
+    let report = fault_simulate(
         &n,
         &empty,
         &mut list,
         &FaultSimConfig::default(),
         Some(&rec),
+        &SimGuide::default(),
     );
     assert_eq!(report.total_detected(), 0);
     assert_eq!(list.detected().count(), 0);
@@ -85,7 +85,7 @@ fn zero_target_faults_is_a_clean_noop() {
     // Every fault pre-detected: the engine plans zero batches.
     let mut list = list_with_undetected(&universe, 0);
     let before = list.to_report_text();
-    let report = fault_simulate_observed(&n, &pats, &mut list, &cfg, Some(&rec));
+    let report = fault_simulate(&n, &pats, &mut list, &cfg, Some(&rec), &SimGuide::default());
     assert_eq!(report.total_detected(), 0);
     assert_eq!(list.to_report_text(), before);
 
@@ -113,7 +113,7 @@ fn assert_boundary_equivalent(undetected: usize) {
             ..FaultSimConfig::default()
         };
         let mut list = list_with_undetected(&universe, undetected);
-        let report = fault_simulate(&n, &pats, &mut list, &cfg);
+        let report = fault_simulate(&n, &pats, &mut list, &cfg, None, &SimGuide::default());
 
         let mut ref_list = list_with_undetected(&universe, undetected);
         let ref_report = fault_simulate_reference(&n, &pats, &mut ref_list, &cfg);
@@ -155,7 +155,7 @@ fn full_batch_records_63_lane_detections() {
         threads: 1,
         ..FaultSimConfig::default()
     };
-    fault_simulate_observed(&n, &pats, &mut list, &cfg, Some(&rec));
+    fault_simulate(&n, &pats, &mut list, &cfg, Some(&rec), &SimGuide::default());
 
     let m = rec.metrics();
     assert_eq!(m.counter("fsim.target_faults"), 63);

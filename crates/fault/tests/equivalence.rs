@@ -6,7 +6,7 @@
 //! netlists.
 
 use warpstl_fault::{
-    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse,
+    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Builder, Netlist, PatternSeq};
@@ -61,7 +61,14 @@ fn assert_equivalent(netlist: &Netlist, patterns: &PatternSeq, base: FaultSimCon
     for threads in [1usize, 2, 8] {
         let mut list = FaultList::new(&universe);
         let cfg = FaultSimConfig { threads, ..base };
-        let report = fault_simulate(netlist, patterns, &mut list, &cfg);
+        let report = fault_simulate(
+            netlist,
+            patterns,
+            &mut list,
+            &cfg,
+            None,
+            &SimGuide::default(),
+        );
         assert_eq!(
             report, ref_report,
             "FaultSimReport diverged at {threads} threads (drop={}, early_exit={})",
@@ -141,8 +148,8 @@ fn dropping_across_two_runs_is_equivalent() {
         ..FaultSimConfig::default()
     };
     let mut list = FaultList::new(&u);
-    let r1 = fault_simulate(&n, &p1, &mut list, &cfg);
-    let r2 = fault_simulate(&n, &p2, &mut list, &cfg);
+    let r1 = fault_simulate(&n, &p1, &mut list, &cfg, None, &SimGuide::default());
+    let r2 = fault_simulate(&n, &p2, &mut list, &cfg, None, &SimGuide::default());
 
     assert_eq!(r1, ref_r1);
     assert_eq!(r2, ref_r2);
@@ -161,16 +168,16 @@ fn empty_pattern_and_saturated_list_edge_cases() {
 
     let mut list = FaultList::new(&u);
     let mut ref_list = FaultList::new(&u);
-    let r = fault_simulate(&n, &empty, &mut list, &cfg);
+    let r = fault_simulate(&n, &empty, &mut list, &cfg, None, &SimGuide::default());
     let rr = fault_simulate_reference(&n, &empty, &mut ref_list, &cfg);
     assert_eq!(r, rr);
     assert_eq!(r.total_detected(), 0);
 
     // Saturate the list, then re-run with dropping: zero targets.
     let p = pseudorandom_patterns(n.inputs().width(), 64, 99);
-    fault_simulate(&n, &p, &mut list, &cfg);
+    fault_simulate(&n, &p, &mut list, &cfg, None, &SimGuide::default());
     let before = list.to_report_text();
-    let again = fault_simulate(&n, &p, &mut list, &cfg);
+    let again = fault_simulate(&n, &p, &mut list, &cfg, None, &SimGuide::default());
     assert_eq!(
         again.total_detected(),
         0,

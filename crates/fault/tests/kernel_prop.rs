@@ -1,23 +1,25 @@
 //! Property: the levelized SoA batch kernel is **bit-identical** to the
 //! event path on random combinational netlists and random pattern
 //! sequences — same report (detections, stamps, tallies) and same fault
-//! list state — at both block widths, in drop and non-drop mode, and
-//! across pattern counts that exercise every block shape (narrow-only
-//! spans, exact wide blocks, and wide blocks with a 64-bit remainder and a
-//! masked tail word).
+//! list state — in drop and non-drop mode, and across pattern counts that
+//! exercise every block shape (narrow-only spans, exact wide blocks, wide
+//! blocks with a 64-bit remainder and a masked tail word) and the kernel's
+//! 1024-pattern window boundaries.
 
 use proptest::prelude::*;
 
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimBackend};
+use warpstl_fault::{
+    fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
+};
 use warpstl_netlist::{Builder, NetId, Netlist, PatternSeq};
 
 /// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
 /// operands among the already-built nets (mod current count).
 type GateSpec = (u8, u8, u8, u8);
 
-/// Builds a random combinational netlist from a gate-spec list (same
-/// construction as `dominance_prop`): every gate reads already-existing
-/// nets, and the tail nets become outputs so late logic stays observable.
+/// Builds a random combinational netlist from a gate-spec list: every gate
+/// reads already-existing nets, and the tail nets become outputs so late
+/// logic stays observable.
 fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
     let mut b = Builder::new("prop");
     let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
@@ -86,60 +88,67 @@ proptest! {
         };
 
         let mut event_list = FaultList::new(&universe);
-        let event = fault_simulate(&netlist, &patterns, &mut event_list, &cfg(SimBackend::Event));
+        let event = fault_simulate(&netlist, &patterns, &mut event_list, &cfg(SimBackend::Event), None, &SimGuide::default());
 
-        for backend in [SimBackend::Kernel64, SimBackend::Kernel] {
-            let mut list = FaultList::new(&universe);
-            let report = fault_simulate(&netlist, &patterns, &mut list, &cfg(backend));
-            prop_assert_eq!(&report, &event, "report diverged under {}", backend);
-            prop_assert_eq!(
-                list.to_report_text(),
-                event_list.to_report_text(),
-                "list state diverged under {}",
-                backend
-            );
-        }
+        let mut list = FaultList::new(&universe);
+        let report = fault_simulate(&netlist, &patterns, &mut list, &cfg(SimBackend::Kernel), None, &SimGuide::default());
+        prop_assert_eq!(&report, &event, "report diverged");
+        prop_assert_eq!(
+            list.to_report_text(),
+            event_list.to_report_text(),
+            "list state diverged"
+        );
     }
 }
 
 /// The identity also survives multi-pattern spans that cross the wide
-/// block boundary on a real module, with threading in the mix: 320
-/// patterns = one 256-bit block + one masked narrow remainder.
+/// block boundary and the kernel's 1024-pattern window boundary on a real
+/// module, in drop and non-drop mode, with threading in the mix.
 #[test]
 fn module_kernel_identity_across_block_shapes() {
     let netlist = warpstl_netlist::modules::ModuleKind::DecoderUnit.build();
     let universe = FaultUniverse::enumerate(&netlist);
     // 64 (narrow only), 256 (exactly one wide block), 320 (wide + narrow),
-    // 100 (narrow + masked tail).
-    for n_pat in [64usize, 256, 320, 100] {
+    // 100 (narrow + masked tail), 1023 (one short of a window), 1025 (one
+    // window + a one-pattern window), 2148 (two windows + a masked tail).
+    for n_pat in [64usize, 256, 320, 100, 1023, 1025, 2148] {
         let patterns =
             pseudorandom_patterns(netlist.inputs().width(), n_pat, 0xb10c ^ n_pat as u64);
-        for threads in [1usize, 3] {
-            let cfg = |backend| FaultSimConfig {
-                threads,
-                backend,
-                ..FaultSimConfig::default()
-            };
-            let mut event_list = FaultList::new(&universe);
-            let event = fault_simulate(
-                &netlist,
-                &patterns,
-                &mut event_list,
-                &cfg(SimBackend::Event),
-            );
-            let mut kernel_list = FaultList::new(&universe);
-            let kernel = fault_simulate(
-                &netlist,
-                &patterns,
-                &mut kernel_list,
-                &cfg(SimBackend::Kernel),
-            );
-            assert_eq!(kernel, event, "{n_pat} patterns, {threads} threads");
-            assert_eq!(
-                kernel_list.to_report_text(),
-                event_list.to_report_text(),
-                "{n_pat} patterns, {threads} threads"
-            );
+        for drop in [true, false] {
+            for threads in [1usize, 3] {
+                let cfg = |backend| FaultSimConfig {
+                    drop_detected: drop,
+                    early_exit: drop,
+                    threads,
+                    backend,
+                };
+                let guide = SimGuide::default();
+                let mut event_list = FaultList::new(&universe);
+                let event = fault_simulate(
+                    &netlist,
+                    &patterns,
+                    &mut event_list,
+                    &cfg(SimBackend::Event),
+                    None,
+                    &guide,
+                );
+                let mut kernel_list = FaultList::new(&universe);
+                let kernel = fault_simulate(
+                    &netlist,
+                    &patterns,
+                    &mut kernel_list,
+                    &cfg(SimBackend::Kernel),
+                    None,
+                    &guide,
+                );
+                let at = format!("{n_pat} patterns, drop={drop}, {threads} threads");
+                assert_eq!(kernel, event, "{at}");
+                assert_eq!(
+                    kernel_list.to_report_text(),
+                    event_list.to_report_text(),
+                    "{at}"
+                );
+            }
         }
     }
 }

@@ -74,6 +74,7 @@ impl Json {
 /// A short human-readable message naming the first offending byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -113,6 +114,8 @@ pub fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    /// The document; string runs are sliced from it directly.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, bounded by [`MAX_DEPTH`].
@@ -273,15 +276,23 @@ impl Parser<'_> {
                     return Err(format!("raw control byte in string at {}", self.pos))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The input arrived as a
-                    // &str so boundaries are valid, but treat any slip as
-                    // a parse error, never a panic on request bytes.
-                    let c = std::str::from_utf8(&self.bytes[self.pos..])
-                        .ok()
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or_else(|| format!("invalid UTF-8 in string at byte {}", self.pos))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one slice. Those stop bytes are ASCII, so the
+                    // run ends on a char boundary of the &str input; `get`
+                    // still turns any slip into a parse error, never a
+                    // panic on request bytes.
+                    let start = self.pos;
+                    while let Some(&c) = self.bytes.get(self.pos) {
+                        if c == b'"' || c == b'\\' || c < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| format!("invalid UTF-8 in string at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -356,6 +367,19 @@ mod tests {
         let original = "line1\nline2\t\"quoted\" \\ slash \u{0001} ünïcode 🚀";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn megabyte_string_literal_round_trips() {
+        // String parsing is linear in the body: a ~1 MiB literal (a large
+        // /compact-stl body) mixing ASCII, multi-byte scalars and escapes
+        // parses back to the original.
+        let unit = "L0: IADD R1, R2, 0x7; // ünïcode 🚀\n\t\"q\"\\\n";
+        let original = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let doc = format!("{{\"stl\": \"{}\"}}", escape(&original));
+        let parsed = parse(&doc).unwrap();
+        assert_eq!(parsed.get("stl").unwrap().as_str(), Some(original.as_str()));
     }
 
     #[test]

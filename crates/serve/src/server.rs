@@ -448,7 +448,7 @@ fn parse_options(body: &Json, shared: &Shared) -> Result<JobOptions, String> {
             .as_str()
             .ok_or_else(|| "`options.backend` must be a string".to_string())?;
         opts.backend = SimBackend::parse(name)
-            .ok_or_else(|| format!("unknown backend `{name}` (auto|event|kernel|kernel64)"))?;
+            .ok_or_else(|| format!("unknown backend `{name}` (auto|event|kernel)"))?;
     }
     if let Some(v) = options.get("threads") {
         opts.threads = v

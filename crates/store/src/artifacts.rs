@@ -5,22 +5,22 @@
 //! - **Analysis** — a netlist's [`AnalyzeReport`], keyed by the netlist
 //!   alone ([`key_analysis`]).
 //! - **Fsim stamps** — everything one fault-engine invocation produced:
-//!   the per-pattern report rows, the individual detection events, and the
-//!   *fault-list delta* (which faults flipped to detected, and where).
-//!   Keyed by [`key_fsim`], which absorbs the entry
-//!   fault-list state, so replaying the delta onto a list in that same
-//!   state is bit-exact with re-running the engine.
+//!   the per-pattern report rows and the individual detection events,
+//!   which are exactly the stamps the engine marked on the fault list.
+//!   Keyed by [`key_fsim`], which absorbs the entry fault-list state, so
+//!   replaying the events onto a list in that same state is bit-exact with
+//!   re-running the engine.
 //!
-//! The wrappers [`cached_analyze`] and [`cached_fault_sim`] are the whole
-//! integration surface for the pipeline: call them where `analyze_observed`
-//! / `fault_simulate_guided` used to be called, with an optional store.
+//! The wrappers [`cached_analyze`], [`cached_fault_sim`] and
+//! [`cached_bridge_sim`] are the whole integration surface for the
+//! pipeline: call them where `analyze_observed` / `fault_simulate` would be
+//! called, with an optional store.
 
 use warpstl_analyze::{
     analyze_observed, AnalyzeReport, Diagnostic, ImplicationStats, Rule, Severity,
 };
 use warpstl_fault::{
-    bridge_simulate_observed, fault_simulate_guided, BridgeList, FaultList, FaultSimConfig,
-    FaultSimReport, FaultStatus, SimGuide,
+    fault_simulate, BridgeList, FaultList, FaultSimConfig, FaultSimReport, SimGuide,
 };
 use warpstl_netlist::{NetId, Netlist, PatternSeq};
 use warpstl_obs::{Obs, ObsExt};
@@ -31,19 +31,16 @@ use crate::store::{EntryKind, Store};
 
 /// The persisted result of one fault-engine invocation.
 ///
-/// `list_updates` is the list *delta*, not the list: diffing detection
-/// flags before/after the engine call captures every fault the run flipped
-/// — including faults a dominance view marked by inheritance, which never
-/// surface as report detection events.
+/// The engine marks exactly its report's detection events on the fault
+/// list (first detection wins), so replaying `report_detections` onto a
+/// list in the entry state reproduces the list delta as well.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsimStamps {
     /// Per-pattern `(cc, activated, detected)` report rows, in order.
     pub patterns: Vec<(u64, u32, u32)>,
-    /// Individual `(fault, cc, pattern)` detection events of the report.
+    /// Individual `(fault, cc, pattern)` detection events of the report,
+    /// in the order the engine marked them on the fault list.
     pub report_detections: Vec<(usize, u64, usize)>,
-    /// Faults the run newly detected: `(fault, cc, pattern)` stamps to
-    /// replay onto the fault list.
-    pub list_updates: Vec<(usize, u64, usize)>,
     /// Target faults the run pruned as statically untestable (the
     /// report's untestable row).
     pub untestable: u32,
@@ -66,12 +63,6 @@ impl FsimStamps {
             w.u64(cc);
             w.write_len(pattern);
         }
-        w.write_len(self.list_updates.len());
-        for &(fault, cc, pattern) in &self.list_updates {
-            w.write_len(fault);
-            w.u64(cc);
-            w.write_len(pattern);
-        }
         w.u32(self.untestable);
         w.into_bytes()
     }
@@ -79,17 +70,6 @@ impl FsimStamps {
     /// Deserializes a cache payload; `None` on any malformation.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<FsimStamps> {
-        fn triples(r: &mut ByteReader<'_>) -> Option<Vec<(usize, u64, usize)>> {
-            let n = r.read_len()?;
-            if n > r.remaining() {
-                return None; // each triple is ≥ 24 bytes; reject absurd counts
-            }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push((r.read_len()?, r.u64()?, r.read_len()?));
-            }
-            Some(out)
-        }
         let mut r = ByteReader::new(bytes);
         let n = r.read_len()?;
         if n > r.remaining() {
@@ -99,13 +79,18 @@ impl FsimStamps {
         for _ in 0..n {
             patterns.push((r.u64()?, r.u32()?, r.u32()?));
         }
-        let report_detections = triples(&mut r)?;
-        let list_updates = triples(&mut r)?;
+        let n = r.read_len()?;
+        if n > r.remaining() {
+            return None; // each triple is ≥ 24 bytes; reject absurd counts
+        }
+        let mut report_detections = Vec::with_capacity(n);
+        for _ in 0..n {
+            report_detections.push((r.read_len()?, r.u64()?, r.read_len()?));
+        }
         let untestable = r.u32()?;
         r.at_end().then_some(FsimStamps {
             patterns,
             report_detections,
-            list_updates,
             untestable,
         })
     }
@@ -116,32 +101,21 @@ impl FsimStamps {
     pub fn bounded_by(&self, fault_count: usize) -> bool {
         self.report_detections
             .iter()
-            .chain(&self.list_updates)
             .all(|&(fault, _, _)| fault < fault_count)
     }
 
-    /// Captures the stamps of a just-finished engine run from its report
-    /// and the list's detection flags `before` the run (see
-    /// [`detection_flags`]). Generic over the ledger's fault type: stamps
-    /// carry only ids, so stuck-at and bridging runs share the codec (their
-    /// keys are domain-separated by the model tag).
+    /// Captures the stamps of a just-finished engine run from its report.
+    /// Stamps carry only fault ids, so stuck-at and bridging runs share the
+    /// codec (their keys are domain-separated by the model tag).
     #[must_use]
-    pub fn capture<F>(report: &FaultSimReport, list: &FaultList<F>, before: &[bool]) -> FsimStamps {
-        let patterns = report
-            .patterns()
-            .iter()
-            .map(|p| (p.cc, p.activated, p.detected))
-            .collect();
-        let report_detections = report.detections().to_vec();
-        let list_updates = list
-            .detected()
-            .filter(|&(id, _, _, _)| !before.get(id).copied().unwrap_or(false))
-            .map(|(id, cc, pattern, _)| (id, cc, pattern))
-            .collect();
+    pub fn capture(report: &FaultSimReport) -> FsimStamps {
         FsimStamps {
-            patterns,
-            report_detections,
-            list_updates,
+            patterns: report
+                .patterns()
+                .iter()
+                .map(|p| (p.cc, p.activated, p.detected))
+                .collect(),
+            report_detections: report.detections().to_vec(),
             untestable: report.untestable_count(),
         }
     }
@@ -152,28 +126,17 @@ impl FsimStamps {
     #[must_use]
     pub fn replay<F>(&self, list: &mut FaultList<F>) -> FaultSimReport {
         list.begin_run();
-        for &(fault, cc, pattern) in &self.list_updates {
-            list.mark_detected(fault, cc, pattern);
-        }
         let mut report = FaultSimReport::new();
         for &(cc, activated, detected) in &self.patterns {
             report.record_pattern(cc, activated, detected);
         }
         for &(fault, cc, pattern) in &self.report_detections {
+            list.mark_detected(fault, cc, pattern);
             report.record_detection(fault, cc, pattern);
         }
         report.set_untestable(self.untestable);
         report
     }
-}
-
-/// Snapshot of a list's detection flags, indexed by fault id — taken
-/// before an engine run so [`FsimStamps::capture`] can diff.
-#[must_use]
-pub fn detection_flags<F>(list: &FaultList<F>) -> Vec<bool> {
-    (0..list.len())
-        .map(|id| matches!(list.status(id), FaultStatus::Detected { .. }))
-        .collect()
 }
 
 fn encode_analysis(report: &AnalyzeReport) -> Vec<u8> {
@@ -337,7 +300,7 @@ pub fn cached_analyze(
     report
 }
 
-/// [`fault_simulate_guided`] behind the cache.
+/// [`fault_simulate`] on a stuck-at list, behind the cache.
 ///
 /// On a hit the persisted stamps are replayed onto `list` (new run,
 /// detection stamps, rebuilt report) under a `store.replay` span — the
@@ -354,20 +317,19 @@ pub fn cached_fault_sim(
     guide: &SimGuide<'_>,
 ) -> FaultSimReport {
     let Some(store) = cache.store else {
-        return fault_simulate_guided(netlist, patterns, list, config, obs, guide);
+        return fault_simulate(netlist, patterns, list, config, obs, guide);
     };
     let key = key_fsim(cache.netlist_key, patterns, list, config, guide);
     if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
         let _span = obs.span("store", "store.replay");
         return stamps.replay(list);
     }
-    let before = detection_flags(list);
-    let report = fault_simulate_guided(netlist, patterns, list, config, obs, guide);
-    store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
+    let report = fault_simulate(netlist, patterns, list, config, obs, guide);
+    store.put_stamps(key, &FsimStamps::capture(&report), obs);
     report
 }
 
-/// [`bridge_simulate_observed`] behind the cache — the bridging twin of
+/// [`fault_simulate`] on a bridging list, behind the cache — the twin of
 /// [`cached_fault_sim`]. The key ([`key_bridge_sim`]) absorbs the sampled
 /// universe content alongside the entry list state, so entries can never
 /// alias across models, seeds, or pair budgets; stamps replay through the
@@ -381,16 +343,15 @@ pub fn cached_bridge_sim(
     obs: Obs<'_>,
 ) -> FaultSimReport {
     let Some(store) = cache.store else {
-        return bridge_simulate_observed(netlist, patterns, list, config, obs);
+        return fault_simulate(netlist, patterns, list, config, obs, &SimGuide::default());
     };
     let key = key_bridge_sim(cache.netlist_key, patterns, list, config);
     if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
         let _span = obs.span("store", "store.replay");
         return stamps.replay(list);
     }
-    let before = detection_flags(list);
-    let report = bridge_simulate_observed(netlist, patterns, list, config, obs);
-    store.put_stamps(key, &FsimStamps::capture(&report, list, &before), obs);
+    let report = fault_simulate(netlist, patterns, list, config, obs, &SimGuide::default());
+    store.put_stamps(key, &FsimStamps::capture(&report), obs);
     report
 }
 
@@ -440,8 +401,7 @@ mod tests {
     fn stamps_codec_round_trips() {
         let stamps = FsimStamps {
             patterns: vec![(10, 4, 1), (11, 0, 0)],
-            report_detections: vec![(3, 10, 0)],
-            list_updates: vec![(3, 10, 0), (5, 11, 1)],
+            report_detections: vec![(3, 10, 0), (5, 11, 1)],
             untestable: 2,
         };
         let decoded = FsimStamps::decode(&stamps.encode()).unwrap();
@@ -682,8 +642,7 @@ mod tests {
         let guide = SimGuide::default();
 
         let mut direct_list = FaultList::new(&universe);
-        let direct =
-            fault_simulate_guided(&netlist, &patterns, &mut direct_list, &config, None, &guide);
+        let direct = fault_simulate(&netlist, &patterns, &mut direct_list, &config, None, &guide);
         let mut cached_list = FaultList::new(&universe);
         let cached = cached_fault_sim(
             CacheCtx::disabled(),
@@ -704,8 +663,7 @@ mod tests {
         let key = Key(5);
         let stamps = FsimStamps {
             patterns: vec![(1, 1, 1)],
-            report_detections: vec![],
-            list_updates: vec![(99, 1, 0)],
+            report_detections: vec![(99, 1, 0)],
             untestable: 0,
         };
         store.put_stamps(key, &stamps, None);

@@ -37,7 +37,11 @@ use warpstl_programs::Ptp;
 /// the report's untestable row change with it).
 /// v3: a fault-model tag domain-separates stuck-at from bridging entries
 /// (see [`key_bridge_sim`]) so cache entries never alias across models.
-pub const FSIM_SCHEMA: u32 = 3;
+/// v4: one engine for every fault model; the guide's dominance view and
+/// ordering keys are gone (dominated classes are simulated directly, which
+/// changes their stamps and the activation tallies), and with them the
+/// two guide flags in [`key_fsim`].
+pub const FSIM_SCHEMA: u32 = 4;
 
 /// Bump when the netlist analyzer's rules or report shape change.
 /// v2: implication-engine counts and the `redundant-logic` rule.
@@ -205,9 +209,9 @@ fn gate_kind_code(kind: GateKind) -> u8 {
 /// The canonical key of a netlist's *structure*: name, gate array (kinds
 /// and meaningful pins in definition order), port maps, flip-flop nets,
 /// and the `HashMap`-backed kind histogram absorbed unordered. Everything
-/// downstream of the netlist (fault universe enumeration, dominance,
-/// SCOAP keys) is a pure function of this structure, so it needs no
-/// separate key material.
+/// downstream of the netlist (fault universe enumeration, static
+/// analysis, levelization) is a pure function of this structure, so it
+/// needs no separate key material.
 #[must_use]
 pub fn key_netlist(netlist: &Netlist) -> Key {
     let mut h = CanonicalHasher::new();
@@ -273,11 +277,13 @@ fn absorb_stream(h: &mut CanonicalHasher, seq: &PatternSeq) {
 /// The canonical key of one fault-engine invocation: netlist structure,
 /// the exact pattern stream, the fault list's *entry state* (which faults
 /// are still undetected — drop mode's behavior depends on it), the
-/// semantic `FaultSimConfig` flags, and the guide shape. Deliberately
-/// excluded: `threads` (the engine is bit-identical at every thread
-/// count), prior detection stamps (first-detection-wins makes them
-/// unobservable), and the list's run counter (replay stamps the warm
-/// list's own run number, exactly as a live simulation would).
+/// semantic `FaultSimConfig` flags, and the guide's untestable bitmap.
+/// Deliberately excluded: `threads` and `backend` (the engine is
+/// bit-identical at every thread count and on both loops), the guide's
+/// levelization (a pure accelerator), prior detection stamps
+/// (first-detection-wins makes them unobservable), and the list's run
+/// counter (replay stamps the warm list's own run number, exactly as a
+/// live simulation would).
 #[must_use]
 pub fn key_fsim(
     netlist_key: Key,
@@ -300,8 +306,6 @@ pub fn key_fsim(
     }
     h.bool(config.drop_detected);
     h.bool(config.early_exit);
-    h.bool(guide.dominance.is_some());
-    h.bool(guide.order_keys.is_some());
     // The untestable bitmap changes the target set, and with it the
     // per-pattern tallies and the report's untestable row — so, unlike
     // `levels`, its *content* is key material.
@@ -440,7 +444,6 @@ mod tests {
         for backend in [
             warpstl_fault::SimBackend::Event,
             warpstl_fault::SimBackend::Kernel,
-            warpstl_fault::SimBackend::Kernel64,
         ] {
             let k = key_fsim(
                 nk,

@@ -68,9 +68,7 @@ pub mod codec;
 pub mod hash;
 pub mod store;
 
-pub use artifacts::{
-    cached_analyze, cached_bridge_sim, cached_fault_sim, detection_flags, CacheCtx, FsimStamps,
-};
+pub use artifacts::{cached_analyze, cached_bridge_sim, cached_fault_sim, CacheCtx, FsimStamps};
 pub use hash::{
     key_analysis, key_bridge_sim, key_fsim, key_netlist, key_ptp, CanonicalHasher, Key,
     ANALYZE_SCHEMA, FSIM_SCHEMA,

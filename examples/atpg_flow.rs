@@ -10,7 +10,7 @@
 
 use warpstl::atpg::convert::{convert_sp_pattern, ConversionStats};
 use warpstl::atpg::{generate_patterns, AtpgConfig};
-use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl::gpu::{Gpu, Kernel, KernelConfig, RunOptions};
 use warpstl::isa::{Instruction, Opcode};
 use warpstl::netlist::modules::ModuleKind;
@@ -83,7 +83,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_fc = 0.0;
     for (i, stream) in run.patterns.sp.iter().enumerate() {
         let mut list = FaultList::new(&universe);
-        fault_simulate(&netlist, stream, &mut list, &FaultSimConfig::default());
+        fault_simulate(
+            &netlist,
+            stream,
+            &mut list,
+            &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
+        );
         println!(
             "SP core {i}: {:.2}% fault coverage",
             list.coverage() * 100.0

@@ -182,7 +182,19 @@ cmp "$SMOKE_DIR/be-event.json" "$SMOKE_DIR/be-kernel.json" || {
     echo "event and kernel backend report JSON differ" >&2
     exit 1
 }
-echo "backend OK: event and kernel reports byte-identical"
+# The same contract under the bridging fault model: both loops run the
+# sampled bridges through the one engine entry point.
+cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+    --no-cache --fault-model bridging --sim-backend event \
+    --json "$SMOKE_DIR/br-event.json" >/dev/null || exit 1
+cargo run -q --release -p warpstl-cli -- compact "$SMOKE_DIR/imm.ptp" \
+    --no-cache --fault-model bridging --sim-backend kernel \
+    --json "$SMOKE_DIR/br-kernel.json" >/dev/null || exit 1
+cmp "$SMOKE_DIR/br-event.json" "$SMOKE_DIR/br-kernel.json" || {
+    echo "event and kernel backend bridging report JSON differ" >&2
+    exit 1
+}
+echo "backend OK: event and kernel reports byte-identical (stuck-at and bridging)"
 
 echo "== serve smoke test =="
 # Start the daemon on an ephemeral port with a shared cache directory,

@@ -2,7 +2,7 @@
 //! to compacted, re-runnable PTP.
 
 use warpstl::compactor::{baseline::IterativeCompactor, Compactor};
-use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse};
+use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimGuide};
 use warpstl::gpu::{Gpu, RunOptions};
 use warpstl::netlist::modules::ModuleKind;
 use warpstl::programs::generators::{
@@ -32,7 +32,14 @@ fn standalone_fc(ptp: &Ptp, module: ModuleKind) -> f64 {
     for s in &streams {
         let mut list = FaultList::new(&universe);
         if !s.is_empty() {
-            fault_simulate(&netlist, s, &mut list, &FaultSimConfig::default());
+            fault_simulate(
+                &netlist,
+                s,
+                &mut list,
+                &FaultSimConfig::default(),
+                None,
+                &SimGuide::default(),
+            );
         }
         acc += list.coverage();
     }

@@ -117,6 +117,8 @@ fn tdf_and_stuck_at_label_differently() {
         &run.patterns.du,
         &mut sa_list,
         &FaultSimConfig::default(),
+        None,
+        &warpstl::fault::SimGuide::default(),
     );
     let sa_labels = label_instructions(ptp.program.len(), &run.trace, &sa_report);
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use warpstl::fault::{
-    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse,
+    fault_simulate, fault_simulate_reference, FaultList, FaultSimConfig, FaultUniverse, SimGuide,
 };
 use warpstl::isa::{asm, encoding, CmpOp, Instruction, Opcode, Pred, Reg};
 use warpstl::netlist::{Builder, LogicSim, Netlist, PatternSeq};
@@ -206,9 +206,9 @@ proptest! {
             pats.push_value(cc, x & 0x3f);
         }
         let mut list = FaultList::new(&u);
-        fault_simulate(&n, &pats, &mut list, &cfg);
+        fault_simulate(&n, &pats, &mut list, &cfg, None, &SimGuide::default());
         let fc1 = list.coverage();
-        let r2 = fault_simulate(&n, &pats, &mut list, &cfg);
+        let r2 = fault_simulate(&n, &pats, &mut list, &cfg, None, &SimGuide::default());
         prop_assert_eq!(r2.total_detected(), 0);
         prop_assert_eq!(list.coverage(), fc1);
 
@@ -218,7 +218,7 @@ proptest! {
             prefix.push_value(pats.cc(i), pats.value(i));
         }
         let mut list_p = FaultList::new(&u);
-        fault_simulate(&n, &prefix, &mut list_p, &cfg);
+        fault_simulate(&n, &prefix, &mut list_p, &cfg, None, &SimGuide::default());
         prop_assert!(list_p.coverage() <= fc1 + 1e-12);
     }
 
@@ -234,7 +234,7 @@ proptest! {
             pats.push_value(cc * 10, x & 0x3f);
         }
         let mut list = FaultList::new(&u);
-        fault_simulate(&n, &pats, &mut list, &FaultSimConfig::default());
+        fault_simulate(&n, &pats, &mut list, &FaultSimConfig::default(), None, &SimGuide::default());
         for (_, cc, pattern, run) in list.detected() {
             prop_assert!(pattern < pats.len());
             prop_assert_eq!(cc, pats.cc(pattern));
@@ -263,7 +263,7 @@ proptest! {
         let mut ref_list = FaultList::new(&u);
         let ref_report = fault_simulate_reference(&n, &pats, &mut ref_list, &base);
         let mut par_list = FaultList::new(&u);
-        let par_report = fault_simulate(&n, &pats, &mut par_list, &base);
+        let par_report = fault_simulate(&n, &pats, &mut par_list, &base, None, &SimGuide::default());
         prop_assert_eq!(par_report, ref_report);
         prop_assert_eq!(par_list.to_report_text(), ref_list.to_report_text());
         prop_assert_eq!(par_list.coverage(), ref_list.coverage());
