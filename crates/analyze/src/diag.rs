@@ -3,12 +3,13 @@
 //! The shapes deliberately mirror `warpstl-verify`'s diagnostics so the
 //! two gates of the pipeline (netlist analysis before fault simulation,
 //! program verification after reduction) read the same way: a small rule
-//! enum with stable kebab-case names, per-rule count arrays, and a
-//! hand-rolled JSON serialization (the build environment has no serde).
+//! enum with stable kebab-case names, per-rule count arrays, and a JSON
+//! serialization through the shared `warpstl_obs::json` writer.
 
 use std::fmt;
 
 use warpstl_netlist::NetId;
+use warpstl_obs::json::Writer;
 
 /// The analyzer's lint rule set. Each diagnostic belongs to exactly one
 /// rule; [`AnalyzeStats`] counts diagnostics per rule so reports can show
@@ -247,41 +248,30 @@ impl AnalyzeReport {
         stats
     }
 
-    /// Serializes the report as a single JSON object (hand-rolled: the
-    /// build environment has no serde).
+    /// Serializes the report as a single one-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"netlist\":\"{}\",", escape_json(&self.name)));
-        out.push_str(&format!("\"gates\":{},", self.gates));
-        out.push_str(&format!("\"errors\":{},", self.error_count()));
-        out.push_str(&format!("\"warnings\":{},", self.warning_count()));
-        out.push_str(&format!(
-            "\"implication_edges\":{},",
-            self.implications.edges
-        ));
-        out.push_str(&format!(
-            "\"impossible_literals\":{},",
-            self.implications.impossible
-        ));
-        out.push_str(&format!("\"untestable\":{},", self.implications.untestable));
-        out.push_str(&format!("\"equiv_merges\":{},", self.implications.merges));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"net\":{},\"message\":\"{}\"}}",
-                d.rule,
-                d.severity,
-                d.net
-                    .map_or_else(|| "null".to_string(), |n| n.index().to_string()),
-                escape_json(&d.message)
-            ));
+        let mut w = Writer::new();
+        w.inline_object()
+            .field("netlist", &self.name)
+            .field("gates", self.gates)
+            .field("errors", self.error_count())
+            .field("warnings", self.warning_count())
+            .field("implication_edges", self.implications.edges)
+            .field("impossible_literals", self.implications.impossible)
+            .field("untestable", self.implications.untestable)
+            .field("equiv_merges", self.implications.merges)
+            .key("diagnostics")
+            .inline_array();
+        for d in &self.diagnostics {
+            w.inline_object()
+                .field("rule", d.rule.to_string())
+                .field("severity", d.severity.to_string())
+                .field("net", d.net.map(NetId::index))
+                .field("message", &d.message)
+                .end();
         }
-        out.push_str("]}");
-        out
+        w.finish()
     }
 }
 
@@ -301,26 +291,10 @@ impl fmt::Display for AnalyzeReport {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warpstl_obs::json::{parse, Json};
 
     fn report() -> AnalyzeReport {
         AnalyzeReport {
@@ -362,19 +336,17 @@ mod tests {
 
     #[test]
     fn json_is_well_formed() {
-        let j = report().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"rule\":\"comb-loop\""));
-        assert!(j.contains("\"severity\":\"error\""));
-        assert!(j.contains("\"errors\":1"));
-        assert!(j.contains("\"net\":3"));
-        assert!(j.contains("\"untestable\":2"));
-        assert!(j.contains("\"implication_edges\":12"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let j = parse(&report().to_json()).unwrap();
+        let first = match j.get("diagnostics") {
+            Some(Json::Arr(items)) => &items[0],
+            other => panic!("diagnostics is not an array: {other:?}"),
+        };
+        assert_eq!(first.get("rule").unwrap().as_str(), Some("comb-loop"));
+        assert_eq!(first.get("severity").unwrap().as_str(), Some("error"));
+        assert_eq!(first.get("net").unwrap().as_count(), Some(3));
+        assert_eq!(j.get("errors").unwrap().as_count(), Some(1));
+        assert_eq!(j.get("untestable").unwrap().as_count(), Some(2));
+        assert_eq!(j.get("implication_edges").unwrap().as_count(), Some(12));
     }
 
     #[test]

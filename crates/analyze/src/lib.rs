@@ -173,7 +173,7 @@ mod tests {
             a.report
         );
         let j = a.report.to_json();
-        assert!(j.contains("\"untestable\":"), "{j}");
+        assert!(j.contains("\"untestable\": "), "{j}");
         assert!(j.contains("redundant-logic"), "{j}");
     }
 

@@ -21,7 +21,6 @@
 //! Usage: `cargo run --release -p warpstl-bench --bin bench_fsim`
 //! (or via `scripts/bench_fsim.sh`).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,6 +33,7 @@ use warpstl_fault::{
 };
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
+use warpstl_obs::json::{Fixed, Writer};
 use warpstl_obs::Recorder;
 use warpstl_programs::generators::{generate_cntrl, generate_imm, generate_mem};
 use warpstl_store::{atomic_write, Store};
@@ -579,16 +579,6 @@ fn main() {
     eprintln!("[bench_fsim] cold vs warm campaign matrix (2 modules x 2 shapes x 2 models)");
     let campaign = measure_campaign();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"fsim\",");
-    let _ = writeln!(json, "  \"host_cores\": {cores},");
-    let skipped_list = skipped
-        .iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(json, "  \"skipped_thread_counts\": [{skipped_list}],");
     // With every multi-thread configuration skipped the sweep degenerates
     // to t=1 and says nothing about batch-level threading; flag it so the
     // JSON is not misread as "threading verified" on a single-core host.
@@ -598,7 +588,6 @@ fn main() {
             "[bench_fsim] WARNING: host has 1 core; all multi-thread configurations were skipped, thread scaling is untested"
         );
     }
-    let _ = writeln!(json, "  \"threading_untested\": {threading_untested},");
     let skipped_note = if skipped.is_empty() {
         String::new()
     } else {
@@ -606,194 +595,142 @@ fn main() {
             "; thread counts {skipped:?} exceed host_cores and were skipped (they resolve to {cores} worker(s) anyway)"
         )
     };
-    let _ = writeln!(
-        json,
-        "  \"note\": \"non-drop mode; best of N reps; engine/1 vs reference isolates fanout-cone pruning, engine/N vs engine/1 isolates batch-level threading (meaningful only when host_cores > 1){skipped_note}\","
-    );
-    json.push_str("  \"modules\": [\n");
-    for (mi, m) in results.iter().enumerate() {
+
+    let mut w = Writer::new();
+    w.object()
+        .field("bench", "fsim")
+        .field("host_cores", cores)
+        .key("skipped_thread_counts")
+        .inline_array();
+    for t in &skipped {
+        w.value(t);
+    }
+    w.end()
+        .field("threading_untested", threading_untested)
+        .field(
+            "note",
+            format!("non-drop mode; best of N reps; engine/1 vs reference isolates fanout-cone pruning, engine/N vs engine/1 isolates batch-level threading (meaningful only when host_cores > 1){skipped_note}"),
+        )
+        .key("modules")
+        .array();
+    for m in &results {
         let t1 = m
             .engine_s
             .iter()
             .find(|&&(t, _)| t == 1)
             .map_or(f64::NAN, |&(_, s)| s);
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"module\": \"{}\",", m.name);
-        let _ = writeln!(json, "      \"patterns\": {},", m.patterns);
-        let _ = writeln!(json, "      \"collapsed_faults\": {},", m.faults);
-        let _ = writeln!(json, "      \"reference_s\": {:.6},", m.reference_s);
-        let _ = writeln!(
-            json,
-            "      \"reference_patterns_per_s\": {:.1},",
-            m.patterns as f64 / m.reference_s
-        );
-        json.push_str("      \"engine\": [\n");
-        for (ei, &(t, s)) in m.engine_s.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"threads\": {t}, \"seconds\": {s:.6}, \"patterns_per_s\": {:.1}, \"speedup_vs_threads1\": {:.3}, \"speedup_vs_reference\": {:.3}}}",
-                m.patterns as f64 / s,
-                t1 / s,
-                m.reference_s / s
-            );
-            json.push_str(if ei + 1 < m.engine_s.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        w.object()
+            .field("module", &m.name)
+            .field("patterns", m.patterns)
+            .field("collapsed_faults", m.faults)
+            .field("reference_s", Fixed(m.reference_s, 6))
+            .field(
+                "reference_patterns_per_s",
+                Fixed(m.patterns as f64 / m.reference_s, 1),
+            )
+            .key("engine")
+            .array();
+        for &(t, s) in &m.engine_s {
+            w.inline_object()
+                .field("threads", t)
+                .field("seconds", Fixed(s, 6))
+                .field("patterns_per_s", Fixed(m.patterns as f64 / s, 1))
+                .field("speedup_vs_threads1", Fixed(t1 / s, 3))
+                .field("speedup_vs_reference", Fixed(m.reference_s / s, 3))
+                .end();
         }
-        json.push_str("      ]\n");
-        json.push_str(if mi + 1 < results.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        w.end().end();
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"kernel\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"levelized SoA batch kernel (256-bit blocks, 1024-pattern windows) vs the event path, drop mode (the production default), single thread, best of N reps; bit-identity of report and fault list against the event path is asserted before any timing is recorded\","
-    );
-    json.push_str("    \"modules\": [\n");
-    for (ki, k) in kernel_results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"module\": \"{}\", \"patterns\": {}, \"collapsed_faults\": {}, \"event_s\": {:.6}, \"kernel_s\": {:.6}, \"speedup_kernel\": {:.3}}}",
-            k.name,
-            k.patterns,
-            k.faults,
-            k.event_s,
-            k.kernel_s,
-            k.event_s / k.kernel_s
-        );
-        json.push_str(if ki + 1 < kernel_results.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+    w.end()
+        .key("kernel")
+        .object()
+        .field("note", "levelized SoA batch kernel (256-bit blocks, 1024-pattern windows) vs the event path, drop mode (the production default), single thread, best of N reps; bit-identity of report and fault list against the event path is asserted before any timing is recorded")
+        .key("modules")
+        .array();
+    for k in &kernel_results {
+        w.inline_object()
+            .field("module", &k.name)
+            .field("patterns", k.patterns)
+            .field("collapsed_faults", k.faults)
+            .field("event_s", Fixed(k.event_s, 6))
+            .field("kernel_s", Fixed(k.kernel_s, 6))
+            .field("speedup_kernel", Fixed(k.event_s / k.kernel_s, 3))
+            .end();
     }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
-    json.push_str("  \"implications\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"drop mode, single thread, best of N reps: the full collapsed universe vs the same run with statically proven-untestable classes pruned, per engine backend; the detected-fault set is asserted bit-identical before recording (pruned faults are provably undetectable); implication_s is the one-time per-module implication-graph + proof build\","
-    );
-    json.push_str("    \"modules\": [\n");
-    for (ii, r) in implication_results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"module\": \"{}\", \"patterns\": {}, \"collapsed_classes\": {}, \"pruned_untestable\": {}, \"universe_after\": {}, \"implication_s\": {:.6}",
-            r.name,
-            r.patterns,
-            r.collapsed,
-            r.pruned,
-            r.collapsed - r.pruned,
-            r.implication_s
-        );
+    w.end()
+        .end()
+        .key("implications")
+        .object()
+        .field("note", "drop mode, single thread, best of N reps: the full collapsed universe vs the same run with statically proven-untestable classes pruned, per engine backend; the detected-fault set is asserted bit-identical before recording (pruned faults are provably undetectable); implication_s is the one-time per-module implication-graph + proof build")
+        .key("modules")
+        .array();
+    for r in &implication_results {
+        w.inline_object()
+            .field("module", &r.name)
+            .field("patterns", r.patterns)
+            .field("collapsed_classes", r.collapsed)
+            .field("pruned_untestable", r.pruned)
+            .field("universe_after", r.collapsed - r.pruned)
+            .field("implication_s", Fixed(r.implication_s, 6));
         for &(label, off_s, on_s) in &r.backends {
-            let _ = write!(
-                json,
-                ", \"{label}_unpruned_s\": {off_s:.6}, \"{label}_pruned_s\": {on_s:.6}, \"{label}_speedup\": {:.3}",
-                off_s / on_s
-            );
+            w.field(&format!("{label}_unpruned_s"), Fixed(off_s, 6))
+                .field(&format!("{label}_pruned_s"), Fixed(on_s, 6))
+                .field(&format!("{label}_speedup"), Fixed(off_s / on_s, 3));
         }
-        json.push('}');
-        json.push_str(if ii + 1 < implication_results.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+        w.end();
     }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
-    json.push_str("  \"obs_overhead\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"engine t=1 on the DU, 128 patterns: Obs=None (the default everywhere observability is not requested) vs a live Recorder; None must be within noise of the pre-instrumentation engine\","
-    );
-    let _ = writeln!(json, "    \"noop_s\": {obs_noop_s:.6},");
-    let _ = writeln!(json, "    \"recorder_s\": {obs_recorder_s:.6},");
-    let _ = writeln!(
-        json,
-        "    \"recorder_overhead_pct\": {:.2}",
-        100.0 * (obs_recorder_s / obs_noop_s - 1.0)
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"compact_du_group\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"end-to-end IMM+MEM+CNTRL compaction (the compact_stl per-module flow) at 1/128 scale with the parallel engine; stage split from CompactionReport::stage_timings\","
-    );
-    let _ = writeln!(json, "    \"wall_s\": {compact_wall_s:.6},");
-    let _ = writeln!(
-        json,
-        "    \"analyze_s\": {:.6},",
-        compact_stages.analyze.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"trace_s\": {:.6},",
-        compact_stages.trace.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"fsim_s\": {:.6},",
-        compact_stages.fsim.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"label_s\": {:.6},",
-        compact_stages.label.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"reduce_s\": {:.6},",
-        compact_stages.reduce.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"verify_s\": {:.6},",
-        compact_stages.verify.as_secs_f64()
-    );
-    let _ = writeln!(
-        json,
-        "    \"eval_s\": {:.6}",
-        compact_stages.eval.as_secs_f64()
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"cache\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"the DU-group compaction above, run twice against one on-disk artifact store: the cold run computes and writes analyze reports and per-fault detection stamps, the warm run replays them; report_identical asserts the warm CompactionReports match the cold ones byte-for-byte\","
-    );
-    let _ = writeln!(json, "    \"cold_s\": {:.6},", cache.cold_s);
-    let _ = writeln!(json, "    \"warm_s\": {:.6},", cache.warm_s);
-    let _ = writeln!(json, "    \"speedup\": {:.3},", cache.speedup());
-    let _ = writeln!(json, "    \"report_identical\": {},", cache.identical);
-    let _ = writeln!(json, "    \"cold_writes\": {},", cache.cold_writes);
-    let _ = writeln!(json, "    \"warm_hits\": {},", cache.warm_hits);
-    let _ = writeln!(json, "    \"warm_misses\": {}", cache.warm_misses);
-    json.push_str("  },\n");
-    json.push_str("  \"campaign\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"an 8-cell campaign matrix (decoder_unit+sfu x 8/16 lanes x stuck-at/bridging) run cold then warm against one artifact store with 2 workers; report_identical asserts the warm campaign report matches the cold one byte-for-byte\","
-    );
-    let _ = writeln!(json, "    \"cells\": {},", campaign.cells);
-    let _ = writeln!(json, "    \"jobs\": {},", campaign.jobs);
-    let _ = writeln!(json, "    \"cold_s\": {:.6},", campaign.cold_s);
-    let _ = writeln!(json, "    \"warm_s\": {:.6},", campaign.warm_s);
-    let _ = writeln!(
-        json,
-        "    \"speedup\": {:.3},",
-        campaign.cold_s / campaign.warm_s
-    );
-    let _ = writeln!(json, "    \"report_identical\": {},", campaign.identical);
-    let _ = writeln!(json, "    \"cold_writes\": {},", campaign.cold_writes);
-    let _ = writeln!(json, "    \"warm_hits\": {}", campaign.warm_hits);
-    json.push_str("  }\n}\n");
+    w.end()
+        .end()
+        .key("obs_overhead")
+        .object()
+        .field("note", "engine t=1 on the DU, 128 patterns: Obs=None (the default everywhere observability is not requested) vs a live Recorder; None must be within noise of the pre-instrumentation engine")
+        .field("noop_s", Fixed(obs_noop_s, 6))
+        .field("recorder_s", Fixed(obs_recorder_s, 6))
+        .field(
+            "recorder_overhead_pct",
+            Fixed(100.0 * (obs_recorder_s / obs_noop_s - 1.0), 2),
+        )
+        .end()
+        .key("compact_du_group")
+        .object()
+        .field("note", "end-to-end IMM+MEM+CNTRL compaction (the compact_stl per-module flow) at 1/128 scale with the parallel engine; stage split from CompactionReport::stage_timings")
+        .field("wall_s", Fixed(compact_wall_s, 6));
+    for (stage, d) in [
+        ("analyze_s", compact_stages.analyze),
+        ("trace_s", compact_stages.trace),
+        ("fsim_s", compact_stages.fsim),
+        ("label_s", compact_stages.label),
+        ("reduce_s", compact_stages.reduce),
+        ("verify_s", compact_stages.verify),
+        ("eval_s", compact_stages.eval),
+    ] {
+        w.field(stage, Fixed(d.as_secs_f64(), 6));
+    }
+    w.end()
+        .key("cache")
+        .object()
+        .field("note", "the DU-group compaction above, run twice against one on-disk artifact store: the cold run computes and writes analyze reports and per-fault detection stamps, the warm run replays them; report_identical asserts the warm CompactionReports match the cold ones byte-for-byte")
+        .field("cold_s", Fixed(cache.cold_s, 6))
+        .field("warm_s", Fixed(cache.warm_s, 6))
+        .field("speedup", Fixed(cache.speedup(), 3))
+        .field("report_identical", cache.identical)
+        .field("cold_writes", cache.cold_writes)
+        .field("warm_hits", cache.warm_hits)
+        .field("warm_misses", cache.warm_misses)
+        .end()
+        .key("campaign")
+        .object()
+        .field("note", "an 8-cell campaign matrix (decoder_unit+sfu x 8/16 lanes x stuck-at/bridging) run cold then warm against one artifact store with 2 workers; report_identical asserts the warm campaign report matches the cold one byte-for-byte")
+        .field("cells", campaign.cells)
+        .field("jobs", campaign.jobs)
+        .field("cold_s", Fixed(campaign.cold_s, 6))
+        .field("warm_s", Fixed(campaign.warm_s, 6))
+        .field("speedup", Fixed(campaign.cold_s / campaign.warm_s, 3))
+        .field("report_identical", campaign.identical)
+        .field("cold_writes", campaign.cold_writes)
+        .field("warm_hits", campaign.warm_hits);
+    let mut json = w.finish();
+    json.push('\n');
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fsim.json");
     atomic_write(path, json.as_bytes()).expect("write BENCH_fsim.json");

@@ -13,7 +13,7 @@ use std::fmt;
 
 use warpstl_core::CompactionReport;
 use warpstl_netlist::modules::ModuleKind;
-use warpstl_serve::json::escape;
+use warpstl_obs::json::Writer;
 
 use crate::spec::Cell;
 
@@ -113,94 +113,57 @@ impl CampaignReport {
     /// module docs for what is excluded and why).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"campaign\": \"{}\",\n", escape(&self.name)));
-        out.push_str("  \"cells\": [");
+        let mut w = Writer::new();
+        w.object()
+            .field("campaign", &self.name)
+            .key("cells")
+            .array();
         for (index, row) in self.cells.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
             let cell = &row.cell;
-            out.push_str(&format!("      \"module\": \"{}\",\n", cell.module.name()));
-            out.push_str(&format!("      \"lanes\": {},\n", cell.lanes));
-            out.push_str(&format!("      \"fault_model\": \"{}\",\n", cell.model));
-            out.push_str(&format!("      \"backend\": \"{}\",\n", cell.backend));
-            out.push_str(&format!(
-                "      \"drop_detected\": {},\n",
-                cell.drop_detected
-            ));
+            w.object()
+                .field("module", cell.module.name())
+                .field("lanes", cell.lanes)
+                .field("fault_model", cell.model.to_string())
+                .field("backend", cell.backend.to_string())
+                .field("drop_detected", cell.drop_detected);
             match &row.outcome {
-                Err(err) => {
-                    out.push_str("      \"status\": \"failed\",\n");
-                    out.push_str(&format!("      \"error\": \"{}\"\n", escape(err)));
-                }
-                Ok(report) => {
-                    out.push_str("      \"status\": \"ok\",\n");
-                    out.push_str(&format!(
-                        "      \"original_size\": {},\n",
-                        report.original_size
-                    ));
-                    out.push_str(&format!(
-                        "      \"compacted_size\": {},\n",
-                        report.compacted_size
-                    ));
-                    out.push_str(&format!(
-                        "      \"size_ratio\": {},\n",
-                        report.compacted_size as f64 / report.original_size.max(1) as f64
-                    ));
-                    out.push_str(&format!(
-                        "      \"original_duration\": {},\n",
-                        report.original_duration
-                    ));
-                    out.push_str(&format!(
-                        "      \"compacted_duration\": {},\n",
-                        report.compacted_duration
-                    ));
-                    out.push_str(&format!("      \"fc_before\": {},\n", report.fc_before));
-                    out.push_str(&format!("      \"fc_after\": {},\n", report.fc_after));
-                    out.push_str(&format!("      \"sbs_total\": {},\n", report.sbs_total));
-                    out.push_str(&format!("      \"sbs_removed\": {},\n", report.sbs_removed));
-                    out.push_str(&format!("      \"untestable\": {},\n", report.untestable));
-                    out.push_str(&format!(
-                        "      \"coverage_delta\": {}\n",
-                        self.coverage_delta(index).unwrap_or(0.0)
-                    ));
-                }
-            }
-            out.push_str("    }");
+                Err(err) => w.field("status", "failed").field("error", err),
+                Ok(report) => w
+                    .field("status", "ok")
+                    .field("original_size", report.original_size)
+                    .field("compacted_size", report.compacted_size)
+                    .field(
+                        "size_ratio",
+                        report.compacted_size as f64 / report.original_size.max(1) as f64,
+                    )
+                    .field("original_duration", report.original_duration)
+                    .field("compacted_duration", report.compacted_duration)
+                    .field("fc_before", report.fc_before)
+                    .field("fc_after", report.fc_after)
+                    .field("sbs_total", report.sbs_total)
+                    .field("sbs_removed", report.sbs_removed)
+                    .field("untestable", report.untestable)
+                    .field("coverage_delta", self.coverage_delta(index).unwrap_or(0.0)),
+            };
+            w.end();
         }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
+        w.end()
+            .key("aggregates")
+            .object()
+            .field("cells_total", self.cells.len())
+            .field("cells_ok", self.ok_count())
+            .field("cells_failed", self.cells.len() - self.ok_count())
+            .key("best_shape")
+            .array();
+        for b in self.best_shape() {
+            w.inline_object()
+                .field("module", b.module.name())
+                .field("lanes", b.lanes)
+                .field("fc_after", b.fc_after)
+                .end();
         }
-        out.push_str("],\n");
-
-        out.push_str("  \"aggregates\": {\n");
-        out.push_str(&format!("    \"cells_total\": {},\n", self.cells.len()));
-        out.push_str(&format!("    \"cells_ok\": {},\n", self.ok_count()));
-        out.push_str(&format!(
-            "    \"cells_failed\": {},\n",
-            self.cells.len() - self.ok_count()
-        ));
-        out.push_str("    \"best_shape\": [");
-        let best = self.best_shape();
-        for (i, b) in best.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n      {{\"module\": \"{}\", \"lanes\": {}, \"fc_after\": {}}}",
-                b.module.name(),
-                b.lanes,
-                b.fc_after
-            ));
-        }
-        if !best.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n");
-        out.push_str("  }\n}\n");
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
 }

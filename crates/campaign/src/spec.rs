@@ -29,7 +29,7 @@ use std::fmt;
 
 use warpstl_fault::{FaultModel, SimBackend};
 use warpstl_netlist::modules::ModuleKind;
-use warpstl_serve::json::{parse, Json};
+use warpstl_obs::json::{parse, Json};
 
 /// One point of the campaign matrix: everything that varies between jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,21 +107,19 @@ impl CampaignSpec {
                 .to_string(),
         };
 
-        let modules = string_axis(&doc, "modules")?
+        let modules = axis(&doc, "modules", "strings", Json::as_str)?
             .ok_or("field `modules` is required (an array of module names)")?
-            .iter()
-            .map(|s| module_by_name(s))
+            .into_iter()
+            .map(module_by_name)
             .collect::<Result<Vec<_>, _>>()?;
 
-        let lanes = match doc.get("lanes") {
-            None => vec![8],
-            Some(v) => non_empty(count_array(v, "lanes")?, "lanes")?,
-        };
+        let lanes = axis(&doc, "lanes", "non-negative integers", Json::as_count)?;
+        let lanes = lanes.unwrap_or_else(|| vec![8]);
 
-        let fault_models = match string_axis(&doc, "fault_models")? {
+        let fault_models = match axis(&doc, "fault_models", "strings", Json::as_str)? {
             None => vec![FaultModel::StuckAt],
             Some(names) => names
-                .iter()
+                .into_iter()
                 .map(|s| {
                     FaultModel::parse(s)
                         .ok_or_else(|| format!("unknown fault model `{s}` (stuck-at|bridging)"))
@@ -129,10 +127,10 @@ impl CampaignSpec {
                 .collect::<Result<Vec<_>, _>>()?,
         };
 
-        let backends = match string_axis(&doc, "backends")? {
+        let backends = match axis(&doc, "backends", "strings", Json::as_str)? {
             None => vec![SimBackend::Auto],
             Some(names) => names
-                .iter()
+                .into_iter()
                 .map(|s| {
                     SimBackend::parse(s)
                         .ok_or_else(|| format!("unknown backend `{s}` (auto|event|kernel)"))
@@ -140,20 +138,7 @@ impl CampaignSpec {
                 .collect::<Result<Vec<_>, _>>()?,
         };
 
-        let drop = match doc.get("drop") {
-            None => vec![true],
-            Some(Json::Arr(items)) => non_empty(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_bool()
-                            .ok_or("field `drop` must be an array of booleans")
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                "drop",
-            )?,
-            Some(_) => return Err("field `drop` must be an array of booleans".to_string()),
-        };
+        let drop = axis(&doc, "drop", "booleans", Json::as_bool)?.unwrap_or_else(|| vec![true]);
 
         let sb_count = count_field(&doc, "sb_count")?.unwrap_or(6);
         if sb_count == 0 {
@@ -214,39 +199,27 @@ fn module_by_name(name: &str) -> Result<ModuleKind, String> {
         })
 }
 
-/// An optional axis of strings; `Ok(None)` when absent.
-fn string_axis(doc: &Json, field: &str) -> Result<Option<Vec<String>>, String> {
-    match doc.get(field) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let values = items
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("field `{field}` must be an array of strings"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Some(non_empty(values, field)?))
-        }
-        Some(_) => Err(format!("field `{field}` must be an array of strings")),
-    }
-}
-
-fn count_array(value: &Json, field: &str) -> Result<Vec<usize>, String> {
-    match value {
-        Json::Arr(items) => items
+/// An optional axis: a non-empty array of `kind` items, each converted by
+/// `item`; `Ok(None)` when the field is absent.
+fn axis<'a, T>(
+    doc: &'a Json,
+    field: &str,
+    kind: &str,
+    item: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
+    let bad = || format!("field `{field}` must be an array of {kind}");
+    let values = match doc.get(field) {
+        None => return Ok(None),
+        Some(Json::Arr(items)) => items
             .iter()
-            .map(|v| {
-                v.as_count().ok_or_else(|| {
-                    format!("field `{field}` must be an array of non-negative integers")
-                })
-            })
-            .collect(),
-        _ => Err(format!(
-            "field `{field}` must be an array of non-negative integers"
-        )),
+            .map(|v| item(v).ok_or_else(bad))
+            .collect::<Result<Vec<_>, _>>()?,
+        Some(_) => return Err(bad()),
+    };
+    if values.is_empty() {
+        return Err(format!("field `{field}` must not be empty"));
     }
+    Ok(Some(values))
 }
 
 fn count_field(doc: &Json, field: &str) -> Result<Option<usize>, String> {
@@ -256,14 +229,6 @@ fn count_field(doc: &Json, field: &str) -> Result<Option<usize>, String> {
             .as_count()
             .map(Some)
             .ok_or_else(|| format!("field `{field}` must be a non-negative integer")),
-    }
-}
-
-fn non_empty<T>(values: Vec<T>, field: &str) -> Result<Vec<T>, String> {
-    if values.is_empty() {
-        Err(format!("field `{field}` must not be empty"))
-    } else {
-        Ok(values)
     }
 }
 

@@ -673,8 +673,7 @@ fn compact_stl(args: &[String]) -> CliResult {
         eprintln!("wrote {out}");
     }
     if let Some(path) = flags.value("--json") {
-        let body: Vec<String> = outcome.reports.iter().map(|r| r.to_json()).collect();
-        let json = format!("[\n{}\n]\n", body.join(",\n"));
+        let json = warpstl_core::stl_report_array(&outcome.reports);
         atomic_write(path, json.as_bytes())?;
         eprintln!("wrote {path}");
     }

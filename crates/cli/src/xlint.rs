@@ -9,7 +9,7 @@
 //! |---|---|
 //! | `raw-sync` | no `std::sync` primitives outside `crates/sync` — every lock/atomic must be a `warpstl_sync` wrapper so the model checker sees it (`Arc`/`Weak`/`Ordering` excepted: no interleaving semantics) |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment in the contiguous comment block above it |
-//! | `no-unwrap` | no `.unwrap()`/`.expect()` in `crates/serve`/`crates/store`/`crates/campaign` non-test code — these crates sit on untrusted-input paths (request bytes, on-disk cache bytes, campaign spec files) and must degrade, not panic |
+//! | `no-unwrap` | no `.unwrap()`/`.expect()` in `crates/serve`/`crates/store`/`crates/campaign` and the JSON codec `crates/obs/src/json.rs`, outside test code — these sit on untrusted-input paths (request bytes, on-disk cache bytes, campaign spec files; the codec parses the first and the last) and must degrade, not panic |
 //! | `timestamp-in-key` | no wall-clock reads (`SystemTime::now`, `UNIX_EPOCH`, `Instant::now`) in the store's hash/key/codec files — cache keys are a determinism contract |
 //!
 //! Scope: `src/**/*.rs` of every workspace crate (`crates/*` and the root
@@ -32,6 +32,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use warpstl_obs::json::Writer;
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -155,35 +157,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Deterministic JSON rendering (the findings are already sorted).
 #[must_use]
 pub fn to_json(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
-            d.line,
-            d.rule,
-            json_escape(&d.message)
-        ));
+    let mut w = Writer::new();
+    w.object().key("findings").array();
+    for d in diagnostics {
+        w.inline_object()
+            .field("file", &d.file)
+            .field("line", d.line)
+            .field("rule", d.rule)
+            .field("message", &d.message)
+            .end();
     }
-    if !diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}", diagnostics.len()));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    w.end().field("count", diagnostics.len());
+    w.finish()
 }
 
 /// `std::sync` items that are fine anywhere: no interleaving semantics
@@ -195,7 +180,8 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
     let in_sync_crate = rel.starts_with("crates/sync/");
     let unwrap_scoped = rel.starts_with("crates/serve/src")
         || rel.starts_with("crates/store/src")
-        || rel.starts_with("crates/campaign/src");
+        || rel.starts_with("crates/campaign/src")
+        || rel == "crates/obs/src/json.rs";
     let timestamp_scoped = matches!(
         rel,
         "crates/store/src/hash.rs" | "crates/store/src/codec.rs" | "crates/store/src/artifacts.rs"
@@ -646,6 +632,7 @@ unsafe { go() }
         assert_eq!(lint_str("crates/serve/src/http.rs", src).len(), 2);
         assert_eq!(lint_str("crates/store/src/store.rs", src).len(), 2);
         assert_eq!(lint_str("crates/campaign/src/runner.rs", src).len(), 2);
+        assert_eq!(lint_str("crates/obs/src/json.rs", src).len(), 2);
         assert!(lint_str("crates/fault/src/engine.rs", src).is_empty());
         let test_src = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint_str("crates/serve/src/http.rs", &test_src).is_empty());

@@ -4,6 +4,7 @@ use std::fmt;
 use std::time::Duration;
 
 use warpstl_analyze::AnalyzeStats;
+use warpstl_obs::json::Writer;
 use warpstl_obs::Metrics;
 use warpstl_verify::VerifyStats;
 
@@ -175,58 +176,26 @@ impl CompactionReport {
     /// cache smoke all diff this form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        format!(
-            concat!(
-                "{{\n",
-                "  \"name\": \"{}\",\n",
-                "  \"original_size\": {},\n",
-                "  \"compacted_size\": {},\n",
-                "  \"original_duration\": {},\n",
-                "  \"compacted_duration\": {},\n",
-                "  \"fc_before\": {},\n",
-                "  \"fc_after\": {},\n",
-                "  \"sbs_total\": {},\n",
-                "  \"sbs_removed\": {},\n",
-                "  \"essential_instructions\": {},\n",
-                "  \"fault_sim_runs\": {},\n",
-                "  \"logic_sim_runs\": {},\n",
-                "  \"untestable\": {},\n",
-                "  \"analyze_errors\": {},\n",
-                "  \"analyze_warnings\": {},\n",
-                "  \"verify_errors\": {},\n",
-                "  \"verify_warnings\": {}\n",
-                "}}"
-            ),
-            esc(&self.name),
-            self.original_size,
-            self.compacted_size,
-            self.original_duration,
-            self.compacted_duration,
-            self.fc_before,
-            self.fc_after,
-            self.sbs_total,
-            self.sbs_removed,
-            self.essential_instructions,
-            self.fault_sim_runs,
-            self.logic_sim_runs,
-            self.untestable,
-            self.analyze.total_errors(),
-            self.analyze.total_warnings(),
-            self.verify.total_errors(),
-            self.verify.total_warnings(),
-        )
+        let mut w = Writer::new();
+        w.object()
+            .field("name", &self.name)
+            .field("original_size", self.original_size)
+            .field("compacted_size", self.compacted_size)
+            .field("original_duration", self.original_duration)
+            .field("compacted_duration", self.compacted_duration)
+            .field("fc_before", self.fc_before)
+            .field("fc_after", self.fc_after)
+            .field("sbs_total", self.sbs_total)
+            .field("sbs_removed", self.sbs_removed)
+            .field("essential_instructions", self.essential_instructions)
+            .field("fault_sim_runs", self.fault_sim_runs)
+            .field("logic_sim_runs", self.logic_sim_runs)
+            .field("untestable", self.untestable)
+            .field("analyze_errors", self.analyze.total_errors())
+            .field("analyze_warnings", self.analyze.total_warnings())
+            .field("verify_errors", self.verify.total_errors())
+            .field("verify_warnings", self.verify.total_warnings());
+        w.finish()
     }
 
     /// Merges several reports into a combined row (the paper's

@@ -38,6 +38,7 @@
 //! off.add("fsim.batches", 42);
 //! ```
 
+pub mod json;
 mod metrics;
 mod trace;
 

@@ -9,40 +9,11 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::HashMap;
 use std::thread::ThreadId;
 
+use crate::json::Writer;
 use crate::Recorder;
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as JSON (no NaN/Infinity in the grammar — clamp to
-/// null-free sentinels).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 impl Recorder {
     /// Serializes everything recorded so far as a Chrome trace-event JSON
@@ -56,134 +27,90 @@ impl Recorder {
         // Stable small integers per OS thread, in order of first
         // appearance; tid 0 is whichever thread recorded first (usually
         // the pipeline thread).
-        let mut tids: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut order: Vec<ThreadId> = Vec::new();
-        let mut tid_of = |t: ThreadId, order: &mut Vec<ThreadId>| -> u32 {
-            let key = thread_key(t);
-            *tids.entry(key).or_insert_with(|| {
-                order.push(t);
-                u32::try_from(order.len() - 1).unwrap_or(u32::MAX)
-            })
-        };
+        let mut tids: HashMap<ThreadId, usize> = HashMap::new();
 
-        let mut out = String::new();
-        out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
-        let mut first = true;
+        let mut w = Writer::new();
+        w.object()
+            .field("displayTimeUnit", "ms")
+            .key("traceEvents")
+            .array();
         for span in &spans {
-            let tid = tid_of(span.thread, &mut order);
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}",
-                json_escape(&span.name),
-                json_escape(span.cat),
-                tid,
-                span.start_us,
-                span.dur_us
-            );
+            let next = tids.len();
+            let tid = *tids.entry(span.thread).or_insert(next);
+            w.inline_object()
+                .field("name", &span.name)
+                .field("cat", span.cat)
+                .field("ph", "X")
+                .field("pid", 1)
+                .field("tid", tid)
+                .field("ts", span.start_us)
+                .field("dur", span.dur_us);
             if !span.args.is_empty() {
-                out.push_str(", \"args\": {");
-                for (i, (k, v)) in span.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
+                w.key("args").inline_object();
+                for (k, v) in &span.args {
+                    w.field(k, v);
                 }
-                out.push('}');
+                w.end();
             }
-            out.push('}');
+            w.end();
         }
         // Thread-name metadata so viewers label lanes meaningfully.
-        for (i, _) in order.iter().enumerate() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+        for i in 0..tids.len() {
             let label = if i == 0 {
                 "pipeline".to_string()
             } else {
                 format!("worker-{i}")
             };
-            let _ = write!(
-                out,
-                "    {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {i}, \"args\": {{\"name\": \"{label}\"}}}}",
-            );
+            w.inline_object()
+                .field("name", "thread_name")
+                .field("ph", "M")
+                .field("pid", 1)
+                .field("tid", i)
+                .key("args")
+                .inline_object()
+                .field("name", label)
+                .end()
+                .end();
         }
-        out.push_str("\n  ],\n  \"warpstlMetrics\": {\n    \"counters\": {");
-        for (i, (k, v)) in metrics.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n      \"{}\": {v}", json_escape(k));
+        w.end()
+            .key("warpstlMetrics")
+            .object()
+            .key("counters")
+            .object();
+        for (k, v) in &metrics.counters {
+            w.field(k, v);
         }
-        out.push_str("\n    },\n    \"histograms\": {");
-        for (i, (k, h)) in metrics.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(k),
-                h.count,
-                json_f64(h.sum),
-                json_f64(if h.count == 0 { 0.0 } else { h.min }),
-                json_f64(if h.count == 0 { 0.0 } else { h.max })
-            );
+        w.end().key("histograms").object();
+        for (k, h) in &metrics.histograms {
+            let (min, max) = if h.count == 0 {
+                (0.0, 0.0)
+            } else {
+                (h.min, h.max)
+            };
+            w.key(k)
+                .inline_object()
+                .field("count", h.count)
+                .field("sum", h.sum)
+                .field("min", min)
+                .field("max", max)
+                .end();
         }
-        out.push_str("\n    }\n  }\n}\n");
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
-}
-
-/// A stable sort key for a [`ThreadId`] (its Debug form carries the
-/// numeric id; falling back to a hash keeps this total if that ever
-/// changes).
-fn thread_key(t: ThreadId) -> u64 {
-    let dbg = format!("{t:?}");
-    let digits: String = dbg.chars().filter(char::is_ascii_digit).collect();
-    digits.parse().unwrap_or_else(|_| {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        t.hash(&mut h);
-        h.finish()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Obs, ObsExt, Recorder};
 
-    /// A minimal JSON well-formedness walker: verifies balanced structure
-    /// and quoting without a parser dependency.
-    fn assert_json_balanced(s: &str) {
-        let mut depth = 0i64;
-        let mut in_str = false;
-        let mut escape = false;
-        for c in s.chars() {
-            if in_str {
-                if escape {
-                    escape = false;
-                } else if c == '\\' {
-                    escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced close in {s}");
+    /// The exporter's output must be a document the strict parser
+    /// accepts.
+    fn assert_valid_json(s: &str) {
+        if let Err(e) = crate::json::parse(s) {
+            panic!("invalid JSON ({e}): {s}");
         }
-        assert_eq!(depth, 0, "unbalanced JSON");
-        assert!(!in_str, "unterminated string");
     }
 
     #[test]
@@ -203,7 +130,7 @@ mod tests {
             });
         });
         let json = rec.to_chrome_trace();
-        assert_json_balanced(&json);
+        assert_valid_json(&json);
         assert!(json.contains("\"stage.trace\""));
         assert!(json.contains("\"fsim.worker\""));
         assert!(json.contains("\"ph\": \"X\""));
@@ -221,7 +148,7 @@ mod tests {
         let obs: Obs<'_> = Some(&rec);
         drop(obs.span("cat", "name").with_arg("k", "a\"b\\c\nd"));
         let json = rec.to_chrome_trace();
-        assert_json_balanced(&json);
+        assert_valid_json(&json);
         assert!(json.contains("a\\\"b\\\\c\\nd"));
     }
 
@@ -229,7 +156,7 @@ mod tests {
     fn empty_recorder_exports_valid_document() {
         let rec = Recorder::new();
         let json = rec.to_chrome_trace();
-        assert_json_balanced(&json);
+        assert_valid_json(&json);
         assert!(json.contains("\"traceEvents\""));
     }
 }

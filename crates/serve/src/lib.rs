@@ -7,6 +7,11 @@
 //! face of the paper's flow — many STLs, many modules, concurrent
 //! clients, one warm artifact store.
 //!
+//! The JSON side is the workspace's one codec, `warpstl_obs::json`:
+//! request bodies go through its strict, depth-bounded parser and every
+//! response through its writer. It is re-exported here as [`json`], the
+//! path clients of this crate have always imported it from.
+//!
 //! ## Protocol
 //!
 //! | Endpoint | Body | Answer |
@@ -54,8 +59,10 @@
 //! ```
 
 pub mod http;
-pub mod json;
 pub mod queue;
 mod server;
 
 pub use server::{run, serve, ServeConfig, ServerHandle};
+/// The JSON codec that reads request bodies and writes every response:
+/// `warpstl_obs::json`, re-exported under this crate's historical path.
+pub use warpstl_obs::json;

@@ -36,8 +36,8 @@ use warpstl_obs::{names, Recorder};
 use warpstl_store::Store;
 
 use crate::http::{read_request, write_response, ParseError, Request, READ_TIMEOUT};
-use crate::json::{escape, parse, Json};
 use crate::queue::{JobQueue, PushRejection};
+use warpstl_obs::json::{parse, Json, Raw, Value, Writer};
 
 /// How often the nonblocking accept loop polls the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -114,40 +114,43 @@ impl Shared {
 
     fn metrics_json(&self) -> String {
         let m = self.recorder.metrics();
-        let mut out = String::from("{\n");
+        let mut w = Writer::new();
+        w.object().key("cache");
         match self.store.as_deref() {
             Some(store) => {
                 let s = store.session();
-                out.push_str(&format!(
-                    "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \"version_mismatch\": {}, \"writes\": {}, \"write_errors\": {}}},\n",
-                    s.hits, s.misses, s.corrupt, s.version_mismatch, s.writes, s.write_errors
-                ));
+                w.inline_object()
+                    .field("hits", s.hits)
+                    .field("misses", s.misses)
+                    .field("corrupt", s.corrupt)
+                    .field("version_mismatch", s.version_mismatch)
+                    .field("writes", s.writes)
+                    .field("write_errors", s.write_errors)
+                    .end();
             }
-            None => out.push_str("  \"cache\": null,\n"),
+            None => {
+                w.value(None::<u64>);
+            }
         }
-        out.push_str("  \"counters\": {");
-        let counters: Vec<String> = m
-            .counters
-            .iter()
-            .map(|(name, n)| format!("\"{}\": {n}", escape(name)))
-            .collect();
-        out.push_str(&counters.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"jobs\": {{\"accepted\": {}, \"completed\": {}, \"failed\": {}, \"rejected\": {}}},\n",
-            m.counter(names::SERVE_ACCEPTED),
-            m.counter(names::SERVE_COMPLETED),
-            m.counter(names::SERVE_FAILED),
-            m.counter(names::SERVE_REJECTED)
-        ));
-        out.push_str(&format!(
-            "  \"queue\": {{\"capacity\": {}, \"depth\": {}, \"workers\": {}}}\n",
-            self.queue.capacity(),
-            self.queue.depth(),
-            self.workers
-        ));
-        out.push('}');
-        out
+        w.key("counters").inline_object();
+        for (name, n) in &m.counters {
+            w.field(name, n);
+        }
+        w.end()
+            .key("jobs")
+            .inline_object()
+            .field("accepted", m.counter(names::SERVE_ACCEPTED))
+            .field("completed", m.counter(names::SERVE_COMPLETED))
+            .field("failed", m.counter(names::SERVE_FAILED))
+            .field("rejected", m.counter(names::SERVE_REJECTED))
+            .end()
+            .key("queue")
+            .inline_object()
+            .field("capacity", self.queue.capacity())
+            .field("depth", self.queue.depth())
+            .field("workers", self.workers)
+            .end();
+        w.finish()
     }
 }
 
@@ -494,54 +497,43 @@ fn execute(
 ) -> Result<String, JobError> {
     let store = shared.store.clone();
     let obs = Some(Arc::clone(job_rec));
-    match spec {
+    // Each job's report, plus the headline field its envelope leads with.
+    let (report_json, head, value, report_key): (_, _, Box<dyn Value>, _) = match spec {
         JobSpec::Compact { ptp, opts } => {
             let out = compact_job(ptp, opts, store, obs)?;
-            Ok(if raw_report {
-                out.report_json
-            } else {
-                format!(
-                    "{{\n\"compacted\": \"{}\",\n\"report\": {}\n}}",
-                    escape(&out.compacted),
-                    out.report_json
-                )
-            })
+            (
+                out.report_json,
+                "compacted",
+                Box::new(out.compacted),
+                "report",
+            )
         }
         JobSpec::CompactStl { stl, opts } => {
             let out = compact_stl_job(stl, opts, store, obs)?;
-            Ok(if raw_report {
-                out.report_json
-            } else {
-                format!(
-                    "{{\n\"compacted\": \"{}\",\n\"reports\": {}}}",
-                    escape(&out.compacted),
-                    out.report_json
-                )
-            })
+            (
+                out.report_json,
+                "compacted",
+                Box::new(out.compacted),
+                "reports",
+            )
         }
         JobSpec::Analyze { module, lanes } => {
             let out = analyze_job(module, *lanes)?;
-            Ok(if raw_report {
-                out.report_json
-            } else {
-                format!(
-                    "{{\n\"clean\": {},\n\"report\": {}\n}}",
-                    out.clean, out.report_json
-                )
-            })
+            (out.report_json, "clean", Box::new(out.clean), "report")
         }
         JobSpec::Lint { ptp } => {
             let out = lint_job(ptp)?;
-            Ok(if raw_report {
-                out.report_json
-            } else {
-                format!(
-                    "{{\n\"clean\": {},\n\"report\": {}\n}}",
-                    out.clean, out.report_json
-                )
-            })
+            (out.report_json, "clean", Box::new(out.clean), "report")
         }
+    };
+    if raw_report {
+        return Ok(report_json);
     }
+    let mut w = Writer::new();
+    w.object()
+        .field(head, &*value)
+        .field(report_key, Raw(&report_json));
+    Ok(w.finish())
 }
 
 fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, body: &[u8]) -> io::Result<()> {
@@ -549,8 +541,9 @@ fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, body: &[u8]) 
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, reason: &str, msg: &str) -> io::Result<()> {
-    let body = format!("{{\"error\": \"{}\"}}", escape(msg));
-    respond_json(stream, status, reason, body.as_bytes())
+    let mut w = Writer::new();
+    w.inline_object().field("error", msg);
+    respond_json(stream, status, reason, w.finish().as_bytes())
 }
 
 #[cfg(unix)]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use warpstl_obs::json::Writer;
+
 /// The verifier's rule set. Each diagnostic belongs to exactly one rule;
 /// [`VerifyStats`] counts diagnostics per rule so reports can show where a
 /// program went wrong at a glance.
@@ -228,30 +230,26 @@ impl VerifyReport {
         stats
     }
 
-    /// Serializes the report as a single JSON object (hand-rolled: the
-    /// build environment has no serde).
+    /// Serializes the report as a single one-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"program\":\"{}\",", escape_json(&self.name)));
-        out.push_str(&format!("\"instructions\":{},", self.program_len));
-        out.push_str(&format!("\"errors\":{},", self.error_count()));
-        out.push_str(&format!("\"warnings\":{},", self.warning_count()));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                d.rule,
-                d.severity,
-                d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                escape_json(&d.message)
-            ));
+        let mut w = Writer::new();
+        w.inline_object()
+            .field("program", &self.name)
+            .field("instructions", self.program_len)
+            .field("errors", self.error_count())
+            .field("warnings", self.warning_count())
+            .key("diagnostics")
+            .inline_array();
+        for d in &self.diagnostics {
+            w.inline_object()
+                .field("rule", d.rule.to_string())
+                .field("severity", d.severity.to_string())
+                .field("pc", d.pc)
+                .field("message", &d.message)
+                .end();
         }
-        out.push_str("]}");
-        out
+        w.finish()
     }
 }
 
@@ -271,26 +269,10 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warpstl_obs::json::{parse, Json};
 
     fn report() -> VerifyReport {
         VerifyReport {
@@ -326,17 +308,15 @@ mod tests {
 
     #[test]
     fn json_is_well_formed() {
-        let j = report().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"rule\":\"use-before-def\""));
-        assert!(j.contains("\"severity\":\"error\""));
-        assert!(j.contains("\"errors\":1"));
-        assert!(j.contains("\"pc\":1"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let j = parse(&report().to_json()).unwrap();
+        let first = match j.get("diagnostics") {
+            Some(Json::Arr(items)) => &items[0],
+            other => panic!("diagnostics is not an array: {other:?}"),
+        };
+        assert_eq!(first.get("rule").unwrap().as_str(), Some("use-before-def"));
+        assert_eq!(first.get("severity").unwrap().as_str(), Some("error"));
+        assert_eq!(first.get("pc").unwrap().as_count(), Some(1));
+        assert_eq!(j.get("errors").unwrap().as_count(), Some(1));
     }
 
     #[test]

@@ -16,6 +16,13 @@ cargo clippy --workspace --all-targets -- -D warnings || exit 1
 echo "== tests =="
 cargo test -q || exit 1
 
+echo "== crate suites (JSON codec and its writers) =="
+# `cargo test` at the root runs only the facade package; these are the
+# suites of the JSON codec (obs), its readers (serve, campaign) and the
+# crates whose writers moved onto it, the codec's mutation fuzzer included.
+cargo test -q -p warpstl-obs -p warpstl-serve -p warpstl-campaign \
+    -p warpstl-analyze -p warpstl-verify -p warpstl-core -p warpstl-cli || exit 1
+
 echo "== xlint (workspace policy lint) =="
 # Source-level policy rules (raw-sync, safety-comment, no-unwrap,
 # timestamp-in-key); nonzero exit on any finding.
@@ -72,6 +79,22 @@ with open(sys.argv[1]) as f:
     report = json.load(f)
 assert report["errors"] == 0, f"decoder_unit should lint clean: {report}"
 print(f"analyze OK: {report['netlist']}, {report['gates']} gates, 0 errors")
+EOF
+# The lint and xlint documents must be real JSON too: a clean generated
+# PTP, and the (clean) workspace itself.
+cargo run -q --release -p warpstl-cli -- lint "$SMOKE_DIR/imm.ptp" --json \
+    > "$SMOKE_DIR/lint.json" || exit 1
+cargo run -q --release -p warpstl-cli -- xlint --json > "$SMOKE_DIR/xlint.json" || exit 1
+python3 - "$SMOKE_DIR/lint.json" "$SMOKE_DIR/xlint.json" <<'EOF' || exit 1
+import json, sys
+
+with open(sys.argv[1]) as f:
+    lint = json.load(f)
+assert lint["errors"] == 0, f"generated IMM PTP should verify clean: {lint}"
+with open(sys.argv[2]) as f:
+    xlint = json.load(f)
+assert xlint["count"] == len(xlint["findings"]) == 0, xlint
+print(f"lint/xlint JSON OK: {lint['program']} clean, workspace xlint clean")
 EOF
 if cargo run -q --release -p warpstl-cli -- analyze comb-loop >/dev/null 2>&1; then
     echo "analyze comb-loop should have exited nonzero" >&2
