@@ -7,8 +7,7 @@
 
 use warpstl_bench::{timed, Scale};
 use warpstl_core::{label_instructions, reduce_ptp, Compactor};
-use warpstl_fault::tdf::{tdf_simulate, TdfList};
-use warpstl_fault::FaultSimConfig;
+use warpstl_fault::{fault_simulate, tdf, FaultList, FaultSimConfig, SimGuide};
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_programs::generators::generate_imm;
 
@@ -23,13 +22,15 @@ fn main() {
     let run = timed("trace", || compactor.trace(&ptp).expect("runs"));
 
     // Stage 3 under the transition-delay model: one TDF simulation.
-    let mut list = TdfList::enumerate(&netlist);
+    let mut list = FaultList::from_faults(tdf::enumerate(&netlist));
     let report = timed("TDF simulation", || {
-        tdf_simulate(
+        fault_simulate(
             &netlist,
             &run.patterns.du,
             &mut list,
             &FaultSimConfig::default(),
+            None,
+            &SimGuide::default(),
         )
     });
     let fc_before = list.coverage();
@@ -43,12 +44,14 @@ fn main() {
 
     // Evaluate the compacted PTP's standalone TDF coverage.
     let comp_run = compactor.trace(&compacted).expect("compacted runs");
-    let mut comp_list = TdfList::enumerate(&netlist);
-    tdf_simulate(
+    let mut comp_list = FaultList::from_faults(tdf::enumerate(&netlist));
+    fault_simulate(
         &netlist,
         &comp_run.patterns.du,
         &mut comp_list,
         &FaultSimConfig::default(),
+        None,
+        &SimGuide::default(),
     );
 
     println!("## Extension: compaction under the transition-delay fault model");

@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use warpstl_core::Compactor;
+use warpstl_core::{Compactor, JobOptions};
 use warpstl_fault::{
     BridgeConfig, BridgeUniverse, FaultModel, FaultSimConfig, FaultUniverse, SimBackend,
 };
@@ -416,29 +416,23 @@ fn write_trace(path: &str, rec: &Recorder) -> CliResult {
 }
 
 fn compact(args: &[String]) -> CliResult {
-    let ptp = load(args)?;
+    let path = args.first().ok_or("missing PTP file")?;
+    let text = fs::read_to_string(path)?;
     let flags = Flags::new(&args[1..]);
     let recorder = flags
         .value("--trace-out")
         .map(|_| Arc::new(Recorder::new()));
     let store = open_store(&flags)?;
-    let lanes = flags.num("--lanes")?.map_or(0, |n| n as usize);
-    let compactor = Compactor {
-        gpu: warpstl_core::gpu_for_lanes(lanes)?,
-        reverse_patterns: flags.has("--reverse"),
+    let opts = JobOptions {
+        reverse: flags.has("--reverse"),
         respect_arc: !flags.has("--no-arc"),
-        prune_untestable: !flags.has("--no-prune"),
+        prune: !flags.has("--no-prune"),
+        backend: resolve_sim_backend(&flags),
+        lanes: flags.num("--lanes")?.map_or(0, |n| n as usize),
         fault_model: resolve_fault_model(&flags)?,
-        obs: recorder.clone(),
-        store: store.clone(),
-        fsim_config: FaultSimConfig {
-            backend: resolve_sim_backend(&flags),
-            ..FaultSimConfig::default()
-        },
-        ..Compactor::default()
+        ..JobOptions::default()
     };
-    let mut ctx = compactor.context_for(ptp.target);
-    let out = compactor.compact(&ptp, &mut ctx)?;
+    let out = warpstl_core::compact_job(&text, &opts, store.clone(), recorder.clone())?;
     let r = &out.report;
     println!(
         "size     {} -> {} instructions ({:+.2} %)",
@@ -466,11 +460,11 @@ fn compact(args: &[String]) -> CliResult {
         print_cache_line(st);
     }
     if let Some(path) = flags.value("--out") {
-        atomic_write(path, ptp_to_text(&out.compacted).as_bytes())?;
+        atomic_write(path, out.compacted.as_bytes())?;
         eprintln!("wrote {path}");
     }
     if let Some(path) = flags.value("--json") {
-        atomic_write(path, out.report.to_json().as_bytes())?;
+        atomic_write(path, out.report_json.as_bytes())?;
         eprintln!("wrote {path}");
     }
     if let (Some(path), Some(rec)) = (flags.value("--trace-out"), recorder.as_deref()) {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use warpstl_analyze::{analyze, Analysis};
+use warpstl_analyze::{analyze_observed, Analysis};
 use warpstl_fault::{
     BridgeConfig, BridgeList, BridgeUniverse, Fault, FaultId, FaultList, FaultModel, FaultSite,
     FaultUniverse, Polarity, SimGuide,
@@ -10,6 +10,7 @@ use warpstl_fault::{
 use warpstl_gpu::ModulePatterns;
 use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Levelization, NetId, Netlist, PatternSeq};
+use warpstl_obs::Obs;
 use warpstl_store::{key_netlist, CacheCtx, Key, Store};
 
 /// The per-target-module state shared across the PTPs of an STL: the module
@@ -133,14 +134,21 @@ impl ModuleContext {
     /// The one-pass static analysis (SCOAP measures, lints, implication
     /// closure), the untestability bitmap and the levelization all run
     /// here, once per module; every PTP compacted against this context
-    /// reuses them. Each fault list is born with the proven
-    /// classes [marked untestable](FaultList::mark_untestable), so
-    /// coverage denominators count testable faults only.
+    /// reuses them, the compactor's analyze gate included. Each fault list
+    /// is born with the proven classes
+    /// [marked untestable](FaultList::mark_untestable), so coverage
+    /// denominators count testable faults only.
     #[must_use]
     pub fn new(module: ModuleKind, instances: usize) -> ModuleContext {
+        ModuleContext::observed(module, instances, None)
+    }
+
+    /// [`ModuleContext::new`] with the analysis reporting to `obs` (its
+    /// `analyze.run` spans and counters).
+    pub(crate) fn observed(module: ModuleKind, instances: usize, obs: Obs<'_>) -> ModuleContext {
         let netlist = module.build();
         let universe = FaultUniverse::enumerate(&netlist);
-        let analysis = analyze(&netlist);
+        let analysis = analyze_observed(&netlist, obs);
         let untestable = map_untestability(&netlist, &universe, &analysis);
         let lists = (0..instances)
             .map(|_| {
@@ -252,10 +260,9 @@ impl ModuleContext {
         self
     }
 
-    /// Attaches (or detaches) the artifact store: every cacheable stage
-    /// run against this context — the analyze gate and each fault-engine
-    /// invocation — then consults it before computing. PTPs sharing the
-    /// context (the STL flow) share its hits.
+    /// Attaches (or detaches) the artifact store: every fault-engine
+    /// invocation against this context then consults it before computing.
+    /// PTPs sharing the context (the STL flow) share its hits.
     #[must_use]
     pub fn with_store(mut self, store: Option<Arc<Store>>) -> ModuleContext {
         self.store = store;

@@ -2,11 +2,13 @@
 //! work a front-end can submit — compact a PTP, compact an STL, analyze a
 //! module, lint a PTP — taking *text* in and returning *text* out.
 //!
-//! The CLI and `warpstl serve` both dispatch through these functions, so
-//! a job submitted over HTTP is byte-identical to the same invocation on
-//! the command line by construction: the report JSON is
-//! [`CompactionReport::to_json`] verbatim, and the STL report array uses
-//! the same [`stl_report_array`] formatting the CLI writes to `--json`.
+//! `warpstl serve` and the campaign runner dispatch through these
+//! functions, and so does the CLI's `compact` command, so a `/compact` job
+//! is byte-identical to the same `compact` invocation by construction: the
+//! report JSON is [`CompactionReport::to_json`] verbatim. The CLI's
+//! `compact-stl` keeps its own path, because its summary needs per-PTP
+//! report data that [`StlJobResult`] does not carry; its `--json` output
+//! goes through the same [`stl_report_array`] `/compact-stl` uses.
 //!
 //! Errors split along the protocol boundary: [`JobError::BadRequest`] is
 //! the caller's fault (unparseable PTP/STL text, an unknown module name —

@@ -12,7 +12,7 @@ use warpstl_netlist::modules::ModuleKind;
 use warpstl_netlist::{Netlist, PatternSeq};
 use warpstl_obs::{Metrics, Obs, ObsExt, Recorder};
 use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
-use warpstl_store::{cached_analyze, cached_bridge_sim, cached_fault_sim, CacheCtx, Store};
+use warpstl_store::{cached_bridge_sim, cached_fault_sim, CacheCtx, Store};
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
 
 use crate::{
@@ -145,10 +145,10 @@ pub struct Compactor {
     /// an STL to get a single contiguous trace.
     pub obs: Option<Arc<Recorder>>,
     /// Content-addressed artifact store. `None` (the default) computes
-    /// everything; `Some` makes the analyze gate and every fault-engine
-    /// invocation consult the cache first and persist misses, so a rerun
-    /// over unchanged inputs replays detection stamps instead of
-    /// simulating. Results are bit-identical either way.
+    /// everything; `Some` makes every fault-engine invocation consult the
+    /// cache first and persist misses, so a rerun over unchanged inputs
+    /// replays detection stamps instead of simulating. Results are
+    /// bit-identical either way.
     pub store: Option<Arc<Store>>,
 }
 
@@ -194,7 +194,7 @@ impl Compactor {
             ModuleKind::SpCore | ModuleKind::Fp32 => self.gpu.config.sp_cores,
             ModuleKind::Sfu => self.gpu.config.sfus,
         };
-        ModuleContext::new(module, instances)
+        ModuleContext::observed(module, instances, self.observer())
             .with_pruning(self.prune_untestable)
             .with_store(self.store.clone())
             .with_model(self.fault_model, &self.bridge_config)
@@ -295,23 +295,24 @@ impl Compactor {
         let mut compact_span = obs.span("pipeline", "compact");
         compact_span.arg("ptp", &ptp.name);
 
-        // Mandatory gate: statically analyze the target netlist before
-        // spending the single logic and fault simulation on it. Lint
-        // errors (combinational loops, undriven nets) make the fault
-        // model — and therefore the whole compaction — meaningless.
-        let analyze_report = {
+        // Mandatory gate: check the target netlist's static analysis (run
+        // once, when the context was built) before spending the single
+        // logic and fault simulation on it. Lint errors (combinational
+        // loops, undriven nets) make the fault model — and therefore the
+        // whole compaction — meaningless.
+        let analyze_stats = {
             let _s = obs.span("stage", "stage.analyze");
-            cached_analyze(ctx.store(), ctx.netlist_key(), ctx.netlist(), obs)
+            let report = &ctx.analysis().report;
+            if !report.is_clean() {
+                obs.add("pipeline.analyze_rejects", 1);
+                return Err(CompactionError::Analyze {
+                    name: ctx.netlist().name().to_string(),
+                    report: report.clone(),
+                });
+            }
+            report.stats()
         };
         let analyze_time = start.elapsed();
-        if !analyze_report.is_clean() {
-            obs.add("pipeline.analyze_rejects", 1);
-            return Err(CompactionError::Analyze {
-                name: ctx.netlist().name().to_string(),
-                report: analyze_report,
-            });
-        }
-        let analyze_stats = analyze_report.stats();
 
         // Stage 1: partitioning (BBs, ARC) happens inside reduce_ptp; the
         // stage is cheap and pure, so it is recomputed there.

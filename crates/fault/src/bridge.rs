@@ -313,13 +313,18 @@ impl Injectable for BridgeFault {
     }
 
     /// The wired value changes something only where the endpoints differ.
-    fn activation(&self, _gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn activation(
+        &self,
+        _gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         good(self.a.index()) ^ good(self.b.index())
     }
 
     /// Exact because the sampler admits only non-feedback pairs: the
     /// injection cannot disturb the fault-free endpoint values.
-    fn forced(&self, good: impl Fn(usize) -> u64) -> u64 {
+    fn forced(&self, good: impl Fn(usize) -> u64, _prev: impl Fn(usize) -> u64) -> u64 {
         self.kind
             .wired_word(good(self.a.index()), good(self.b.index()))
     }

@@ -267,6 +267,8 @@ fn run_batches<F: Injectable>(
     };
     let mut in_cone = vec![false; n_gates];
     let mut good = vec![0u64; n_gates];
+    // The previous pattern's good machine, for models that launch from it.
+    let mut prev = vec![0u64; n_gates];
     let mut good_state = vec![0u64; ctx.dff_nets.len()];
 
     for (gi, group) in batches.chunks(GROUP).enumerate() {
@@ -298,6 +300,7 @@ fn run_batches<F: Injectable>(
         // state; the good machine's trajectory is identical across batches,
         // so resetting once per group reproduces it.
         good.fill(0);
+        prev.fill(0);
         good_state.fill(0);
 
         let mut steps: u64 = 0;
@@ -305,6 +308,7 @@ fn run_batches<F: Injectable>(
             if states.iter().all(|s| !s.active) {
                 break;
             }
+            std::mem::swap(&mut good, &mut prev);
             // Good machine: inputs broadcast to every lane, no injections.
             for (bit_pos, &net) in ctx.in_nets.iter().enumerate() {
                 good[net] = if ctx.patterns.bit(t, bit_pos) { !0 } else { 0 };
@@ -335,13 +339,17 @@ fn run_batches<F: Injectable>(
             for (k, &q) in ctx.dff_nets.iter().enumerate() {
                 good_state[k] = good[ctx.gates[q].pins[0].index()];
             }
+            if t == 0 {
+                // The first pattern is its own predecessor.
+                prev.copy_from_slice(&good);
+            }
 
             let cc = ctx.patterns.cc(t);
             for (plan, st) in plans.iter().zip(states.iter_mut()) {
                 if !st.active {
                     continue;
                 }
-                step_batch(ctx, plan, st, &good, t, cc, &mut out);
+                step_batch(ctx, plan, st, &good, &prev, t, cc, &mut out);
                 steps += 1;
             }
         }
@@ -369,12 +377,15 @@ fn force(word: u64, lanes: u64, forced: u64) -> u64 {
 /// Advances one batch by one pattern: forced values and activation from
 /// the good machine, cone evaluation with injection, flip-flop capture,
 /// output observation, and detection recording — the same sequence, in the
-/// same order, as the serial reference.
+/// same order, as the serial reference. `prev` is the good machine at the
+/// previous pattern.
+#[allow(clippy::too_many_arguments)]
 fn step_batch<F: Injectable>(
     ctx: &Ctx<'_>,
     plan: &BatchPlan<F>,
     st: &mut BatchState,
     good: &[u64],
+    prev: &[u64],
     t: usize,
     cc: u64,
     out: &mut WorkerOut,
@@ -385,6 +396,7 @@ fn step_batch<F: Injectable>(
     // values are left at 0.
     let drop = ctx.config.drop_detected;
     let read = |n: usize| good[n];
+    let before = |n: usize| prev[n];
     let mut forced = 0u64;
     let mut activated = 0u32;
     for (lane0, (_, f)) in plan.faults.iter().enumerate() {
@@ -392,8 +404,8 @@ fn step_batch<F: Injectable>(
         if drop && st.detected_mask & bit != 0 {
             continue;
         }
-        forced |= f.forced(read) & bit;
-        activated += (f.activation(ctx.gates, read) & 1) as u32;
+        forced |= f.forced(read, before) & bit;
+        activated += (f.activation(ctx.gates, read, before) & 1) as u32;
     }
     out.activated[t] += activated;
 

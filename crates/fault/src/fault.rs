@@ -112,7 +112,10 @@ impl fmt::Display for Fault {
 /// point for all of them.
 ///
 /// A fault forces one value at one or more sites. `good` maps a net index
-/// to that net's fault-free word in the lanes being simulated.
+/// to that net's fault-free word in the lanes being simulated, and `prev`
+/// to its fault-free word one pattern earlier (the first pattern of a
+/// sequence is its own predecessor). Stuck-at and bridging faults ignore
+/// `prev`; transition faults launch from it.
 ///
 /// # Examples
 ///
@@ -122,8 +125,9 @@ impl fmt::Display for Fault {
 ///
 /// let f = Fault::new(FaultSite::Output(NetId(0)), Polarity::Sa1);
 /// let good = |_net: usize| 0b0101u64;
-/// assert_eq!(f.forced(good), !0); // stuck-at-1 forces all ones
-/// assert_eq!(f.activation(&[], good), !0b0101); // active where good is 0
+/// let prev = |_net: usize| 0b0011u64;
+/// assert_eq!(f.forced(good, prev), !0); // stuck-at-1 forces all ones
+/// assert_eq!(f.activation(&[], good, prev), !0b0101); // active where good is 0
 /// ```
 pub trait Injectable: Copy + Send + Sync {
     /// The sites the fault forces its value at: gate outputs (stems) or
@@ -133,10 +137,15 @@ pub trait Injectable: Copy + Send + Sync {
 
     /// The lanes in which the fault is activated: where the forced value
     /// differs from a site's fault-free value.
-    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64;
+    fn activation(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        prev: impl Fn(usize) -> u64,
+    ) -> u64;
 
     /// The value forced at every site.
-    fn forced(&self, good: impl Fn(usize) -> u64) -> u64;
+    fn forced(&self, good: impl Fn(usize) -> u64, prev: impl Fn(usize) -> u64) -> u64;
 }
 
 impl Injectable for Fault {
@@ -144,7 +153,12 @@ impl Injectable for Fault {
         [self.site]
     }
 
-    fn activation(&self, gates: &[Gate], good: impl Fn(usize) -> u64) -> u64 {
+    fn activation(
+        &self,
+        gates: &[Gate],
+        good: impl Fn(usize) -> u64,
+        _prev: impl Fn(usize) -> u64,
+    ) -> u64 {
         let src = match self.site {
             FaultSite::Output(n) => n.index(),
             FaultSite::InputPin(n, p) => gates[n.index()].pins[p as usize].index(),
@@ -157,7 +171,7 @@ impl Injectable for Fault {
         }
     }
 
-    fn forced(&self, _good: impl Fn(usize) -> u64) -> u64 {
+    fn forced(&self, _good: impl Fn(usize) -> u64, _prev: impl Fn(usize) -> u64) -> u64 {
         if self.polarity.value() {
             !0
         } else {

@@ -28,7 +28,9 @@
 //! The pattern span is processed in fixed windows of [`WINDOW`] patterns:
 //! each window's good machine is evaluated, then every still-live fault
 //! runs its blocks in it. Per-worker memory is therefore
-//! `gates × WINDOW / 64` words whatever the sequence length.
+//! `gates × WINDOW / 64` words whatever the sequence length. Each net's
+//! last good bit is carried into the next window, so models that launch
+//! from the previous pattern (transition faults) see one unbroken sequence.
 //!
 //! Two screens keep per-fault work near zero for inert blocks: an
 //! activation screen (a fault that changes no site value in a block cannot
@@ -262,10 +264,34 @@ impl Frontier {
 /// read them: `stride` words per net, valid lanes in `word_mask`.
 struct Window<'a> {
     good: &'a [u64],
+    /// Per net, the good bit of the pattern before the window's first lane
+    /// (bit 0; the first pattern of the sequence is its own predecessor).
+    carry: &'a [u64],
     word_mask: &'a [u64],
     stride: usize,
     /// Pattern index of the window's first lane.
     p0: usize,
+}
+
+impl Window<'_> {
+    /// Good word `w` of net `n`.
+    #[inline(always)]
+    fn good(&self, n: usize, w: usize) -> u64 {
+        self.good[n * self.stride + w]
+    }
+
+    /// Good word `w` of net `n` one pattern earlier: lane `t` holds the
+    /// good value at lane `t - 1`, the window's first lane the carry.
+    #[inline(always)]
+    fn prev(&self, n: usize, w: usize) -> u64 {
+        let i = n * self.stride + w;
+        let low = if w == 0 {
+            self.carry[n]
+        } else {
+            self.good[i - 1] >> 63
+        };
+        (self.good[i] << 1) | low
+    }
 }
 
 /// Propagates one fault's difference frontier through one block, returning
@@ -285,7 +311,7 @@ fn propagate<const BW: usize, F: Injectable>(
     let (good, stride) = (win.good, win.stride);
     let mut forced = [0u64; BW];
     for (w, fw) in forced.iter_mut().enumerate() {
-        *fw = fault.forced(|n| good[n * stride + base + w]);
+        *fw = fault.forced(|n| win.good(n, base + w), |n| win.prev(n, base + w));
     }
 
     // Seed every site with its injected faulty value, masked to the valid
@@ -472,8 +498,9 @@ fn fault_block<const BW: usize, F: Injectable>(
     let mut a = [0u64; BW];
     let mut any = 0u64;
     for (w, aw) in a.iter_mut().enumerate() {
-        let word = |n: usize| win.good[n * win.stride + base + w];
-        *aw = run.fault.activation(ctx.gates, word) & win.word_mask[base + w];
+        let word = |n: usize| win.good(n, base + w);
+        let prev = |n: usize| win.prev(n, base + w);
+        *aw = run.fault.activation(ctx.gates, word, prev) & win.word_mask[base + w];
         any |= *aw;
     }
     if any == 0 {
@@ -540,6 +567,7 @@ pub(crate) fn run_batches_kernel<F: Injectable>(
     let mut good = vec![0u64; n_gates * max_stride];
     let mut in_words = vec![0u64; ctx.in_nets.len() * max_stride];
     let mut word_mask = vec![0u64; max_stride];
+    let mut carry = vec![0u64; n_gates];
 
     let drop = ctx.config.drop_detected;
     let mut fr = Frontier::new(ctx, levels);
@@ -581,9 +609,15 @@ pub(crate) fn run_batches_kernel<F: Injectable>(
             base += 1;
         }
         blocks += ((wide_end / WIDE) + (stride - wide_end)) as u64;
+        if p0 == 0 {
+            for (n, c) in carry.iter_mut().enumerate() {
+                *c = good[n * stride] & 1;
+            }
+        }
 
         let win = Window {
             good,
+            carry: &carry,
             word_mask: &word_mask,
             stride,
             p0,
@@ -629,6 +663,11 @@ pub(crate) fn run_batches_kernel<F: Injectable>(
                     }
                 }
             }
+        }
+        // Every window but the last is full, so its last lane is the next
+        // window's predecessor.
+        for (n, c) in carry.iter_mut().enumerate() {
+            *c = good[n * stride + stride - 1] >> 63;
         }
     }
 

@@ -14,15 +14,14 @@
 //! - [`FaultList`] — the mutable detection ledger the compaction flow
 //!   shares across test programs (the paper's *fault dropping* mechanism);
 //! - [`fault_simulate`] — the one fault-simulation entry point, generic over
-//!   the fault model ([`Injectable`]: stuck-at [`Fault`]s and sampled
-//!   [`BridgeFault`]s), simulating timestamped pattern sequences with a
-//!   levelized pattern-parallel kernel (combinational netlists) or a
-//!   fault-parallel event path (63 faults + 1 good machine per machine
-//!   word), and producing the per-cycle *Fault Sim Report* the
-//!   instruction-labeling stage consumes;
+//!   the fault model ([`Injectable`]: stuck-at [`Fault`]s, sampled
+//!   [`BridgeFault`]s and [`tdf::TransitionFault`]s), simulating
+//!   timestamped pattern sequences with a levelized pattern-parallel kernel
+//!   (combinational netlists) or a fault-parallel event path (63 faults + 1
+//!   good machine per machine word), and producing the per-cycle *Fault Sim
+//!   Report* the instruction-labeling stage consumes;
 //! - [`fault_simulate_reference`] — the serial stuck-at oracle the engine
-//!   is tested against, and [`tdf::tdf_simulate`] for transition-delay
-//!   faults.
+//!   is tested against.
 //!
 //! # Examples
 //!

@@ -33,7 +33,8 @@ pub enum FaultStatus {
 /// The ledger is generic over the fault type `F` so every fault model shares
 /// one detection/coverage/report machinery: stuck-at lists are
 /// `FaultList<Fault>` (the default), bridging lists are
-/// [`BridgeList`](crate::BridgeList) (`FaultList<BridgeFault>`).
+/// [`BridgeList`](crate::BridgeList) (`FaultList<BridgeFault>`) and
+/// transition-delay lists are `FaultList<TransitionFault>`.
 ///
 /// # Examples
 ///
@@ -82,8 +83,9 @@ impl FaultList {
 
 impl<F> FaultList<F> {
     /// A fresh unit-weight ledger over an arbitrary fault population (the
-    /// constructor the non-stuck-at models use; bridging faults carry no
-    /// equivalence-class collapsing, so every fault weighs 1).
+    /// constructor the non-stuck-at models use; bridging and transition
+    /// faults carry no equivalence-class collapsing, so every fault weighs
+    /// 1).
     #[must_use]
     pub fn from_faults(faults: Vec<F>) -> FaultList<F> {
         let n = faults.len();

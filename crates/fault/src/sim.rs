@@ -139,9 +139,10 @@ pub struct SimGuide<'a> {
 
 /// Runs one fault simulation of `patterns` against `netlist`, updating
 /// `list` and returning the per-pattern Fault Sim Report. The one entry
-/// point for every fault model: stuck-at ([`Fault`](crate::Fault)) and
-/// bridging ([`BridgeFault`](crate::BridgeFault)) lists alike, through any
-/// [`Injectable`] model.
+/// point for every fault model: stuck-at ([`Fault`](crate::Fault)),
+/// bridging ([`BridgeFault`](crate::BridgeFault)) and transition-delay
+/// ([`TransitionFault`](crate::tdf::TransitionFault)) lists alike, through
+/// any [`Injectable`] model.
 ///
 /// Faults are simulated in independent 63-fault batches, pruned to the
 /// fanout cone of their injection sites and fanned out over

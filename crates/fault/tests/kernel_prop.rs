@@ -11,56 +11,9 @@ use proptest::prelude::*;
 use warpstl_fault::{
     fault_simulate, FaultList, FaultSimConfig, FaultUniverse, SimBackend, SimGuide,
 };
-use warpstl_netlist::{Builder, NetId, Netlist, PatternSeq};
 
-/// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
-/// operands among the already-built nets (mod current count).
-type GateSpec = (u8, u8, u8, u8);
-
-/// Builds a random combinational netlist from a gate-spec list: every gate
-/// reads already-existing nets, and the tail nets become outputs so late
-/// logic stays observable.
-fn build_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
-    let mut b = Builder::new("prop");
-    let mut nets: Vec<NetId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
-    for &(kind, a, bb, c) in specs {
-        let pick = |sel: u8| nets[sel as usize % nets.len()];
-        let (x, y, z) = (pick(a), pick(bb), pick(c));
-        let net = match kind % 9 {
-            0 => b.and(x, y),
-            1 => b.or(x, y),
-            2 => b.nand(x, y),
-            3 => b.nor(x, y),
-            4 => b.xor(x, y),
-            5 => b.xnor(x, y),
-            6 => b.not(x),
-            7 => b.buf(x),
-            _ => b.mux(x, y, z),
-        };
-        nets.push(net);
-    }
-    let n_out = nets.len().clamp(1, 4);
-    for (k, &net) in nets.iter().rev().take(n_out).enumerate() {
-        b.output(&format!("o{k}"), net);
-    }
-    b.finish()
-}
-
-fn pseudorandom_patterns(width: usize, count: usize, mut seed: u64) -> PatternSeq {
-    let mut p = PatternSeq::new(width);
-    for cc in 0..count {
-        let bits: Vec<bool> = (0..width)
-            .map(|_| {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                seed & 1 == 1
-            })
-            .collect();
-        p.push_bits(cc as u64, &bits);
-    }
-    p
-}
+mod common;
+use common::{assert_backends_agree, build_netlist, pseudorandom_patterns};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -122,32 +75,8 @@ fn module_kernel_identity_across_block_shapes() {
                     threads,
                     backend,
                 };
-                let guide = SimGuide::default();
-                let mut event_list = FaultList::new(&universe);
-                let event = fault_simulate(
-                    &netlist,
-                    &patterns,
-                    &mut event_list,
-                    &cfg(SimBackend::Event),
-                    None,
-                    &guide,
-                );
-                let mut kernel_list = FaultList::new(&universe);
-                let kernel = fault_simulate(
-                    &netlist,
-                    &patterns,
-                    &mut kernel_list,
-                    &cfg(SimBackend::Kernel),
-                    None,
-                    &guide,
-                );
                 let at = format!("{n_pat} patterns, drop={drop}, {threads} threads");
-                assert_eq!(kernel, event, "{at}");
-                assert_eq!(
-                    kernel_list.to_report_text(),
-                    event_list.to_report_text(),
-                    "{at}"
-                );
+                assert_backends_agree(&netlist, &patterns, cfg, || FaultList::new(&universe), &at);
             }
         }
     }

@@ -3,7 +3,10 @@
 //! Two artifact kinds are persisted:
 //!
 //! - **Analysis** — a netlist's [`AnalyzeReport`], keyed by the netlist
-//!   alone ([`key_analysis`]).
+//!   alone ([`key_analysis`]). The compaction pipeline no longer reads or
+//!   writes it (its analyze gate checks the module context's analysis); it
+//!   stays for the frozen perfbench replay, which times the gate through
+//!   [`cached_analyze`].
 //! - **Fsim stamps** — everything one fault-engine invocation produced:
 //!   the per-pattern report rows and the individual detection events,
 //!   which are exactly the stamps the engine marked on the fault list.
@@ -11,10 +14,9 @@
 //!   replaying the events onto a list in that same state is bit-exact with
 //!   re-running the engine.
 //!
-//! The wrappers [`cached_analyze`], [`cached_fault_sim`] and
-//! [`cached_bridge_sim`] are the whole integration surface for the
-//! pipeline: call them where `analyze_observed` / `fault_simulate` would be
-//! called, with an optional store.
+//! The wrappers [`cached_fault_sim`] and [`cached_bridge_sim`] are the
+//! whole integration surface for the pipeline: call them where
+//! `fault_simulate` would be called, with an optional store.
 
 use warpstl_analyze::{
     analyze_observed, AnalyzeReport, Diagnostic, ImplicationStats, Rule, Severity,
@@ -279,7 +281,9 @@ impl<'a> CacheCtx<'a> {
 
 /// [`analyze_observed`] behind the cache: returns the lint report from the
 /// store when present, else analyzes and persists. SCOAP scores are not
-/// cached — the pipeline consumes only the report.
+/// cached. The compaction pipeline does not call this (its analyze gate
+/// reads the module context's analysis); it is kept for the perfbench
+/// replay, which times the gate through it.
 #[must_use]
 pub fn cached_analyze(
     store: Option<&Store>,

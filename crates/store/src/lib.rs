@@ -23,8 +23,9 @@
 //!   and scan/gc/clear maintenance. Corrupt or version-mismatched entries
 //!   degrade to misses, never errors.
 //! - [`artifacts`] — the typed artifacts (analysis reports, fault-sim
-//!   stamps) and the [`cached_analyze`] / [`cached_fault_sim`] wrappers
-//!   the pipeline calls in place of the raw compute functions.
+//!   stamps), the [`cached_fault_sim`] wrapper the pipeline calls in place
+//!   of the raw engine, and [`cached_analyze`], kept for the perfbench
+//!   replay.
 //!
 //! # Examples
 //!

@@ -16,11 +16,15 @@ cargo clippy --workspace --all-targets -- -D warnings || exit 1
 echo "== tests =="
 cargo test -q || exit 1
 
-echo "== crate suites (JSON codec and its writers) =="
+echo "== crate suites =="
 # `cargo test` at the root runs only the facade package; these are the
-# suites of the JSON codec (obs), its readers (serve, campaign) and the
-# crates whose writers moved onto it, the codec's mutation fuzzer included.
-cargo test -q -p warpstl-obs -p warpstl-serve -p warpstl-campaign \
+# member crates' own suites: the fault engine's kernel/event bit-identity
+# and oracle proptests, the store, netlist, programs, GPU model, ISA and
+# ATPG suites, the JSON codec (obs) with its mutation fuzzer, and its
+# readers and writers (serve, campaign, analyze, verify, core, cli).
+cargo test -q -p warpstl-fault -p warpstl-store -p warpstl-netlist \
+    -p warpstl-programs -p warpstl-gpu -p warpstl-isa -p warpstl-atpg \
+    -p warpstl-obs -p warpstl-serve -p warpstl-campaign \
     -p warpstl-analyze -p warpstl-verify -p warpstl-core -p warpstl-cli || exit 1
 
 echo "== xlint (workspace policy lint) =="

@@ -2,9 +2,10 @@
 //! the transition-delay fault model.
 
 use warpstl::compactor::{label_instructions, reduce_ptp, Compactor};
-use warpstl::fault::tdf::{tdf_simulate, TdfList};
-use warpstl::fault::FaultSimConfig;
+use warpstl::fault::tdf::{self, TransitionFault};
+use warpstl::fault::{fault_simulate, FaultList, FaultSimConfig, FaultSimReport, SimGuide};
 use warpstl::netlist::modules::ModuleKind;
+use warpstl::netlist::{Netlist, PatternSeq};
 use warpstl::programs::generators::{generate_fpu, generate_imm, FpuConfig, ImmConfig};
 
 #[test]
@@ -43,6 +44,27 @@ fn fp32_capture_feeds_the_module_context() {
     assert_eq!(streams[0].width(), ctx.netlist().inputs().width());
 }
 
+/// A fresh transition-fault ledger over every gate-output line.
+fn tdf_list(netlist: &Netlist) -> FaultList<TransitionFault> {
+    FaultList::from_faults(tdf::enumerate(netlist))
+}
+
+/// One default (dropping) fault simulation, unguided.
+fn simulate(
+    netlist: &Netlist,
+    patterns: &PatternSeq,
+    list: &mut FaultList<TransitionFault>,
+) -> FaultSimReport {
+    fault_simulate(
+        netlist,
+        patterns,
+        list,
+        &FaultSimConfig::default(),
+        None,
+        &SimGuide::default(),
+    )
+}
+
 #[test]
 fn tdf_compaction_reuses_the_labeling_stage() {
     // Seed/size chosen so the program carries clearly redundant SBs under
@@ -55,13 +77,8 @@ fn tdf_compaction_reuses_the_labeling_stage() {
     let compactor = Compactor::default();
     let netlist = ModuleKind::DecoderUnit.build();
     let run = compactor.trace(&ptp).expect("runs");
-    let mut list = TdfList::enumerate(&netlist);
-    let report = tdf_simulate(
-        &netlist,
-        &run.patterns.du,
-        &mut list,
-        &FaultSimConfig::default(),
-    );
+    let mut list = tdf_list(&netlist);
+    let report = simulate(&netlist, &run.patterns.du, &mut list);
     assert!(list.coverage() > 0.05, "TDF coverage {}", list.coverage());
 
     let labels = label_instructions(ptp.program.len(), &run.trace, &report);
@@ -73,13 +90,8 @@ fn tdf_compaction_reuses_the_labeling_stage() {
     let mut compacted = ptp.clone();
     compacted.program = reduction.program;
     let comp_run = compactor.trace(&compacted).expect("compacted runs");
-    let mut comp_list = TdfList::enumerate(&netlist);
-    tdf_simulate(
-        &netlist,
-        &comp_run.patterns.du,
-        &mut comp_list,
-        &FaultSimConfig::default(),
-    );
+    let mut comp_list = tdf_list(&netlist);
+    simulate(&netlist, &comp_run.patterns.du, &mut comp_list);
     assert!(
         comp_list.coverage() >= list.coverage() - 0.05,
         "TDF coverage fell {} -> {}",
@@ -101,24 +113,19 @@ fn tdf_and_stuck_at_label_differently() {
     let netlist = ModuleKind::DecoderUnit.build();
     let run = compactor.trace(&ptp).expect("runs");
 
-    let mut tdf_list = TdfList::enumerate(&netlist);
-    let tdf_report = tdf_simulate(
-        &netlist,
-        &run.patterns.du,
-        &mut tdf_list,
-        &FaultSimConfig::default(),
-    );
+    let mut tdf_faults = tdf_list(&netlist);
+    let tdf_report = simulate(&netlist, &run.patterns.du, &mut tdf_faults);
     let tdf_labels = label_instructions(ptp.program.len(), &run.trace, &tdf_report);
 
     let universe = warpstl::fault::FaultUniverse::enumerate(&netlist);
     let mut sa_list = warpstl::fault::FaultList::new(&universe);
-    let sa_report = warpstl::fault::fault_simulate(
+    let sa_report = fault_simulate(
         &netlist,
         &run.patterns.du,
         &mut sa_list,
         &FaultSimConfig::default(),
         None,
-        &warpstl::fault::SimGuide::default(),
+        &SimGuide::default(),
     );
     let sa_labels = label_instructions(ptp.program.len(), &run.trace, &sa_report);
 
