@@ -57,6 +57,7 @@
 pub mod baseline;
 mod context;
 mod error;
+mod eval;
 pub mod jobs;
 mod label;
 mod pipeline;

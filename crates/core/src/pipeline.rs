@@ -5,7 +5,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use warpstl_fault::{
-    BridgeConfig, BridgeList, FaultList, FaultModel, FaultSimConfig, FaultSimReport, SimGuide,
+    fault_simulate, BridgeConfig, BridgeList, FaultList, FaultModel, FaultSimConfig,
+    FaultSimReport, FaultStatus, SimGuide,
 };
 use warpstl_gpu::{Gpu, RunOptions, RunResult, SimError};
 use warpstl_netlist::modules::ModuleKind;
@@ -15,6 +16,7 @@ use warpstl_programs::{ArcAnalysis, BasicBlocks, Ptp};
 use warpstl_store::{cached_bridge_sim, cached_fault_sim, CacheCtx, Store};
 use warpstl_verify::{verify_reduction_observed, Severity, VerifyOptions};
 
+use crate::eval::{self, Coverages, EvalInputs};
 use crate::{
     label_instructions, CompactionError, CompactionReport, ModuleContext, PtpFeatures, StageTimings,
 };
@@ -28,7 +30,7 @@ use crate::{
 /// instance- and batch-level parallelism compose instead of oversubscribing.
 /// Reports and list updates are bit-identical to a serial instance loop:
 /// each instance owns its list, and results are collected in instance order.
-fn simulate_instances_with<L, F>(
+pub(crate) fn simulate_instances_with<L, F>(
     streams: &[Cow<'_, PatternSeq>],
     lists: &mut [L],
     config: &FaultSimConfig,
@@ -212,12 +214,13 @@ impl Compactor {
     }
 
     /// Fault-simulates a traced run's module patterns against the context's
-    /// shared fault lists, merging the per-instance Fault Sim Reports.
+    /// shared fault lists, returning the per-instance Fault Sim Reports in
+    /// instance order (`None` where the stream was empty).
     ///
     /// The netlist is borrowed (not cloned) and the pattern streams are only
     /// materialized when `reverse_patterns` demands it; the instances run
     /// concurrently (see [`simulate_instances`]).
-    fn fault_sim(&self, run: &RunResult, ctx: &mut ModuleContext) -> FaultSimReport {
+    fn fault_sim(&self, run: &RunResult, ctx: &mut ModuleContext) -> Vec<Option<FaultSimReport>> {
         let streams: Vec<Cow<'_, PatternSeq>> = ctx
             .streams(&run.patterns)
             .into_iter()
@@ -234,7 +237,7 @@ impl Compactor {
             ctx.instances(),
             "context instance count must match the GPU configuration"
         );
-        let reports = match ctx.model() {
+        match ctx.model() {
             FaultModel::StuckAt => {
                 let (netlist, lists, guide, cache) = ctx.netlist_and_lists_mut();
                 simulate_instances(
@@ -258,12 +261,26 @@ impl Compactor {
                     cache,
                 )
             }
-        };
-        let mut merged = FaultSimReport::new();
-        for report in reports.iter().flatten() {
-            merged.merge(report);
         }
-        merged
+    }
+
+    /// The faults each instance's stage-3 run will target, indexed by fault
+    /// id: the shared list's undetected faults under dropping, every fault
+    /// otherwise. Taken before the run, it tells the evaluation which
+    /// outcomes the run's report decides.
+    fn stage3_targets(&self, ctx: &ModuleContext) -> Vec<Vec<bool>> {
+        fn targets<F>(list: &FaultList<F>, drop: bool) -> Vec<bool> {
+            (0..list.len())
+                .map(|id| !drop || matches!(list.status(id), FaultStatus::Undetected))
+                .collect()
+        }
+        let drop = self.fsim_config.drop_detected;
+        (0..ctx.instances())
+            .map(|i| match ctx.model() {
+                FaultModel::StuckAt => targets(ctx.list(i), drop),
+                FaultModel::Bridging => targets(ctx.bridge_list(i), drop),
+            })
+            .collect()
     }
 
     /// Compacts one PTP: stages 1–5 of the paper, using exactly one logic
@@ -274,6 +291,10 @@ impl Compactor {
     /// `fc_after` are *standalone* coverages (fresh fault lists), matching
     /// the paper's per-PTP FC columns — this is also where RAND's large FC
     /// drop comes from: its compaction dropped faults TPGEN already covers.
+    /// On combinational modules the evaluation reuses the stage-3 reports
+    /// and simulates only the faults whose outcome is still unknown; both
+    /// coverages are bit-identical to [`Compactor::features`] on the
+    /// original and compacted PTPs (DESIGN.md §5).
     ///
     /// # Errors
     ///
@@ -326,10 +347,18 @@ impl Compactor {
         let trace_time = stamp.elapsed();
 
         // Stage 3a: ONE fault simulation against the shared dropping list.
+        // The evaluation reuses its per-instance reports, so note which
+        // faults the run decides before it drops them.
         let stamp = Instant::now();
-        let fsr = {
+        let (stage3_known, stage3_reports, fsr) = {
             let _s = obs.span("stage", "stage.fsim");
-            self.fault_sim(&run, ctx)
+            let known = self.stage3_targets(ctx);
+            let reports = self.fault_sim(&run, ctx);
+            let mut merged = FaultSimReport::new();
+            for report in reports.iter().flatten() {
+                merged.merge(report);
+            }
+            (known, reports, merged)
         };
         obs.add("pipeline.fsim_runs", 1);
         let fsim_time = stamp.elapsed();
@@ -340,6 +369,9 @@ impl Compactor {
             let _s = obs.span("stage", "stage.label");
             label_instructions(ptp.program.len(), &run.trace, &fsr)
         };
+        // The merged report only feeds the labeling; the evaluation reads
+        // the per-instance ones, so do not hold both through it.
+        drop(fsr);
         obs.add("label.essential", labels.essential_count() as u64);
         let label_time = stamp.elapsed();
 
@@ -388,14 +420,37 @@ impl Compactor {
         }
 
         // Evaluation (outside the method's fault-simulation budget): the
-        // standalone FC of the original and compacted programs, and the
-        // compacted duration.
+        // compacted duration and the standalone FC of the original and
+        // compacted programs. Combinational modules reuse stage 3 and
+        // simulate only the faults whose outcome is still unknown (see the
+        // `eval` module); sequential ones simulate fresh lists.
         let stamp = Instant::now();
         let (fc_before, compacted_run, fc_after) = {
             let _s = obs.span("stage", "stage.eval");
-            let fc_before = self.standalone_coverage_of_run(&run, ctx);
-            let compacted_run = self.trace(&compacted)?;
-            let fc_after = self.standalone_coverage_of_run(&compacted_run, ctx);
+            let compacted_run = {
+                let _s = obs.span("stage", "eval.trace");
+                self.trace(&compacted)?
+            };
+            let _s = obs.span("stage", "eval.fsim");
+            let (fc_before, fc_after) = if ctx.netlist().is_combinational() {
+                let inputs = EvalInputs {
+                    original: ctx.streams(&run.patterns),
+                    compacted: ctx.streams(&compacted_run.patterns),
+                    reports: &stage3_reports,
+                    known: &stage3_known,
+                    reversed: self.reverse_patterns,
+                    prune_untestable: ctx.pruning(),
+                };
+                let c = self.reuse_coverages(&inputs, ctx);
+                obs.add("eval.faults_reused", c.reused);
+                obs.add("eval.faults_simulated", c.simulated);
+                (c.before, c.after)
+            } else {
+                (
+                    self.standalone_coverage_of_run(&run, ctx),
+                    self.standalone_coverage_of_run(&compacted_run, ctx),
+                )
+            };
             (fc_before, compacted_run, fc_after)
         };
         let eval_time = stamp.elapsed();
@@ -446,6 +501,45 @@ impl Compactor {
             metrics,
         };
         Ok(CompactionOutcome { compacted, report })
+    }
+
+    /// The evaluation's standalone coverages on a combinational module,
+    /// reusing stage 3 (see the `eval` module). Stuck-at simulations go
+    /// through the artifact store with the exclusion mask as the guide's
+    /// target mask; bridging ones call the engine directly, because the
+    /// store's bridging entry point takes no guide.
+    fn reuse_coverages(&self, inputs: &EvalInputs<'_>, ctx: &ModuleContext) -> Coverages {
+        let cfg = FaultSimConfig {
+            threads: self.fsim_config.threads,
+            backend: self.fsim_config.backend,
+            ..FaultSimConfig::default()
+        };
+        let (obs, netlist, cache) = (self.observer(), ctx.netlist(), ctx.cache_ctx());
+        let levels = Some(ctx.levels());
+        match ctx.model() {
+            FaultModel::StuckAt => eval::coverages(
+                inputs,
+                || ctx.fresh_lists(),
+                &cfg,
+                obs,
+                |s, list, exclude, cfg| {
+                    let untestable = Some(exclude);
+                    let guide = SimGuide { untestable, levels };
+                    cached_fault_sim(cache, netlist, s, list, cfg, obs, &guide)
+                },
+            ),
+            FaultModel::Bridging => eval::coverages(
+                inputs,
+                || ctx.fresh_bridge_lists(),
+                &cfg,
+                obs,
+                |s, list, exclude, cfg| {
+                    let untestable = Some(exclude);
+                    let guide = SimGuide { untestable, levels };
+                    fault_simulate(netlist, s, list, cfg, obs, &guide)
+                },
+            ),
+        }
     }
 
     /// The standalone fault coverage achieved by a traced run (fresh fault
@@ -711,6 +805,8 @@ mod tests {
             "stage.reduce",
             "stage.verify",
             "stage.eval",
+            "eval.trace",
+            "eval.fsim",
         ] {
             assert_eq!(
                 spans.iter().filter(|s| s.name == stage).count(),
@@ -745,9 +841,17 @@ mod tests {
         assert_eq!(m.counter("verify.errors"), 0);
         assert_eq!(m.counter("analyze.errors"), 0);
         assert_eq!(out.report.analyze.total_errors(), 0);
-        // Eval-stage simulations observe too, so the raw engine counter
-        // exceeds the method's single budgeted run.
-        assert!(m.counter("fsim.runs") > 1);
+        // The evaluation decides every testable fault of its two fresh
+        // lists exactly once: reused from stage 3 or simulated.
+        let testable: u64 = ctx
+            .fresh_lists()
+            .iter()
+            .map(|l| (l.len() - l.untestable_count()) as u64)
+            .sum();
+        assert_eq!(
+            m.counter("eval.faults_reused") + m.counter("eval.faults_simulated"),
+            2 * testable
+        );
     }
 
     #[test]

@@ -505,8 +505,8 @@ fn run_range<F: Injectable>(
 }
 
 /// The engine behind [`fault_simulate`](crate::fault_simulate): drops the
-/// guide's proven-untestable classes from the target list, plans 63-fault
-/// batches, fans them out over a scoped worker pool, and merges the results
+/// guide's masked faults from the target list, plans 63-fault batches, fans
+/// them out over a scoped worker pool, and merges the results
 /// deterministically.
 pub(crate) fn simulate<F: Injectable>(
     netlist: &Netlist,
@@ -525,9 +525,10 @@ pub(crate) fn simulate<F: Injectable>(
     list.begin_run();
     let mut report = FaultSimReport::new();
 
-    // Statically-proven-untestable classes are dropped from the target
-    // list before batching: they can never be detected, so the detected
-    // set is unchanged, but the engine stops paying for their cones.
+    // The guide's masked faults are dropped from the target list before
+    // batching: statically-proven-untestable classes can never be
+    // detected, and a caller masks only faults whose outcome it already
+    // knows, so the engine stops paying for their cones.
     let testable = |id: FaultId| {
         guide
             .untestable
@@ -555,10 +556,7 @@ pub(crate) fn simulate<F: Injectable>(
         run_span.arg("backend", backend);
         obs.add("fsim.runs", 1);
         obs.add("fsim.patterns", n_pat as u64);
-        obs.add(
-            "fsim.untestable_pruned",
-            u64::from(report.untestable_count()),
-        );
+        obs.add("fsim.excluded", u64::from(report.untestable_count()));
         if backend == SimBackend::Kernel {
             obs.add("fsim.kernel.runs", 1);
         }

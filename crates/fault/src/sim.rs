@@ -121,13 +121,16 @@ impl Default for FaultSimConfig {
 /// simulates every target with a per-run levelization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimGuide<'a> {
-    /// Per-fault untestability bitmap, indexed by [`FaultId`]: classes the
-    /// static implication engine proved redundant are excluded from the
-    /// target list entirely — they can never be detected, so the detected
-    /// set is bit-identical to the unpruned run while the engine skips
-    /// their batches. Because the *pattern tallies* of the report change
-    /// with the target set, this field participates in cache keys
-    /// (`key_fsim`), unlike `levels`.
+    /// Per-fault target mask, indexed by [`FaultId`]: flagged faults are
+    /// excluded from the target list entirely and the engine skips their
+    /// batches. The module context flags the classes the static
+    /// implication engine proved redundant — they can never be detected,
+    /// so the detected set is bit-identical to the unpruned run. The
+    /// compactor's evaluation stage also flags faults whose outcome on the
+    /// patterns is already known, and accounts for them itself. Because
+    /// the *pattern tallies* of the report change with the target set,
+    /// this field participates in cache keys (`key_fsim`), unlike
+    /// `levels`.
     pub untestable: Option<&'a [bool]>,
     /// Precomputed [`Levelization`] of the netlist (rank-major SoA layout
     /// for the levelized kernel). Purely an accelerator: when `None` the

@@ -27,6 +27,13 @@ cargo test -q -p warpstl-fault -p warpstl-store -p warpstl-netlist \
     -p warpstl-obs -p warpstl-serve -p warpstl-campaign \
     -p warpstl-analyze -p warpstl-verify -p warpstl-core -p warpstl-cli || exit 1
 
+echo "== perfbench self-tests =="
+# The benchmark is a workspace of its own, so nothing above builds it: an
+# API change that breaks it would otherwise go unnoticed. Its traced
+# replay keeps the fresh-list evaluation and must match the compaction
+# job byte for byte, a second oracle for the evaluation stage.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml || exit 1
+
 echo "== xlint (workspace policy lint) =="
 # Source-level policy rules (raw-sync, safety-comment, no-unwrap,
 # timestamp-in-key); nonzero exit on any finding.
