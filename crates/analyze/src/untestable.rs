@@ -355,7 +355,7 @@ mod tests {
         let (netlist, r, _) = tautology_netlist();
         let imp = Implications::compute(&netlist);
         let unt = Untestability::compute(&netlist, &imp);
-        // r is always 1: stuck-at-1 can never be activated...
+        // r is always 1: no pattern activates stuck-at-1...
         assert!(unt.output_untestable(r.index(), true));
         // ...but stuck-at-0 forces y to 0 with w = 1 — testable.
         assert!(!unt.output_untestable(r.index(), false));

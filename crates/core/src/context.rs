@@ -501,26 +501,33 @@ mod tests {
             let mut ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1).with_pruning(prune);
             assert_eq!(ctx.sim_guide().untestable.is_some(), prune);
             let (netlist, lists, guide, _) = ctx.netlist_and_lists_mut();
+            let rec = warpstl_obs::Recorder::new();
             let report = warpstl_fault::fault_simulate(
                 netlist,
                 &patterns,
                 &mut lists[0],
                 &warpstl_fault::FaultSimConfig::default(),
-                None,
+                Some(&rec),
                 &guide,
             );
-            (ctx.list(0).to_report_text(), ctx.coverage(), report)
+            let excluded = rec.metrics().counter("fsim.excluded");
+            (
+                ctx.list(0).to_report_text(),
+                ctx.coverage(),
+                report,
+                excluded,
+            )
         };
-        let (text_on, cov_on, rep_on) = run(true);
-        let (text_off, cov_off, rep_off) = run(false);
+        let (text_on, cov_on, rep_on, excluded_on) = run(true);
+        let (text_off, cov_off, rep_off, excluded_off) = run(false);
         assert_eq!(text_on, text_off);
         assert_eq!(cov_on, cov_off);
-        assert_eq!(rep_on.total_detected(), rep_off.total_detected());
-        // The pruned run accounts for exactly the proven classes; the
-        // unpruned run prunes nothing.
+        assert!(rep_on.detected_by_cc().eq(rep_off.detected_by_cc()));
+        // The pruned run excludes exactly the proven classes; the unpruned
+        // run excludes nothing.
         let ctx = ModuleContext::new(ModuleKind::DecoderUnit, 1);
-        assert_eq!(rep_on.untestable_count() as usize, ctx.untestable_count());
-        assert_eq!(rep_off.untestable_count(), 0);
+        assert_eq!(excluded_on as usize, ctx.untestable_count());
+        assert_eq!(excluded_off, 0);
         assert_eq!(ctx.untestable_count(), ctx.list(0).untestable_count());
     }
 

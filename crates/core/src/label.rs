@@ -59,7 +59,7 @@ impl Labels {
 /// let mut report = FaultSimReport::new();
 /// // Pretend a fault was detected during the second NOP's interval.
 /// let second = run.trace.records()[1];
-/// report.record_pattern(second.cc_start + 1, 1, 1);
+/// report.record_detected(second.cc_start + 1, 1);
 ///
 /// let labels = label_instructions(3, &run.trace, &report);
 /// assert!(!labels.is_essential(0));
@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(recs.len(), 2);
         let second = recs[1];
         let mut report = FaultSimReport::new();
-        report.record_pattern(second.cc_start, 0, 3);
+        report.record_detected(second.cc_start, 3);
         let labels = label_instructions(2, &trace, &report);
         assert!(labels.is_essential(0));
         assert!(!labels.is_essential(1));
@@ -127,7 +127,7 @@ mod tests {
         let first = trace.records()[0];
         let mut report = FaultSimReport::new();
         // A detection exactly at cc_end belongs to the next instruction.
-        report.record_pattern(first.cc_end, 0, 1);
+        report.record_detected(first.cc_end, 1);
         let labels = label_instructions(3, &trace, &report);
         assert!(!labels.is_essential(0));
         assert!(labels.is_essential(1));
@@ -138,7 +138,7 @@ mod tests {
         // Dead code after EXIT never executes, so it is never essential.
         let trace = traced("EXIT;\nNOP;", 32);
         let mut report = FaultSimReport::new();
-        report.record_pattern(0, 0, 1);
+        report.record_detected(0, 1);
         let labels = label_instructions(2, &trace, &report);
         assert!(!labels.is_essential(1));
     }

@@ -318,7 +318,7 @@ mod tests {
                     active_mask: u32::MAX,
                 });
                 if e {
-                    report.record_pattern(cc + 1, 1, 1);
+                    report.record_detected(cc + 1, 1);
                 }
             }
             crate::label_instructions(essential.len(), &trace, &report)

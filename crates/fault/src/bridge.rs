@@ -27,9 +27,9 @@
 //! bridges through the same engine (both loops, threading, windowing), the
 //! ledger is [`BridgeList`] (the generic [`FaultList`] over
 //! [`BridgeFault`]) and the output is the same
-//! [`FaultSimReport`](crate::FaultSimReport). A bridge is *activated* by a
-//! pattern when `good_a != good_b` (equal values make the wired value a
-//! no-op) and *detected* when forcing the wired value at both endpoints
+//! [`FaultSimReport`](crate::FaultSimReport). A pattern *activates* a
+//! bridge when `good_a != good_b` (equal values make the wired value a
+//! no-op) and *detects* it when forcing the wired value at both endpoints
 //! changes a module output.
 
 use std::fmt;
@@ -410,11 +410,10 @@ mod tests {
         let n = b.finish();
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         assert!(u.is_empty());
-        // Simulating the empty list is a no-op that still reports patterns.
+        // Simulating the empty list is a no-op.
         let mut list = u.new_list();
         let r = simulate(&n, &exhaustive(1), &mut list, &FaultSimConfig::default());
-        assert_eq!(r.total_detected(), 0);
-        assert_eq!(r.patterns().len(), 2);
+        assert_eq!(r, FaultSimReport::new());
     }
 
     #[test]
@@ -423,7 +422,7 @@ mod tests {
         let u = BridgeUniverse::sample(&n, &BridgeConfig::default());
         let mut list = u.new_list();
         let r = simulate(&n, &exhaustive(3), &mut list, &FaultSimConfig::default());
-        assert!(r.total_detected() > 0, "{r}");
+        assert!(r.total_detected() > 0);
         assert!(list.coverage() > 0.0);
         assert_eq!(list.detected().count() as u32, r.total_detected());
     }

@@ -15,8 +15,8 @@
 //!    parallelism). Each worker fills private buffers which are merged in
 //!    global batch order afterwards, so the resulting [`FaultSimReport`] is
 //!    **bit-identical** to a serial run: serial detections are emitted
-//!    batch-major, and per-pattern tallies are exact integer sums, which are
-//!    order-independent.
+//!    batch-major, and per-pattern detection counts are exact integer
+//!    sums, which are order-independent.
 //!
 //! 2. **Fanout-cone pruning** — a gate's lanes can differ from the good
 //!    machine only if the gate is an injection site or (transitively) reads
@@ -231,10 +231,10 @@ struct BatchState {
 }
 
 /// What one worker hands back: per-batch detection logs (in the worker's
-/// batch order) plus per-pattern tallies summed over its batches.
+/// batch order) plus per-pattern detection counts summed over its batches
+/// (every observation in non-drop mode, first detections otherwise).
 pub(crate) struct WorkerOut {
     pub(crate) detections: Vec<Vec<(FaultId, u64, usize)>>,
-    pub(crate) activated: Vec<u32>,
     pub(crate) detected: Vec<u32>,
 }
 
@@ -262,7 +262,6 @@ fn run_batches<F: Injectable>(
     let n_gates = ctx.gates.len();
     let mut out = WorkerOut {
         detections: Vec::with_capacity(batches.len()),
-        activated: vec![0u32; n_pat],
         detected: vec![0u32; n_pat],
     };
     let mut in_cone = vec![false; n_gates];
@@ -374,8 +373,8 @@ fn force(word: u64, lanes: u64, forced: u64) -> u64 {
     (word & !lanes) | (forced & lanes)
 }
 
-/// Advances one batch by one pattern: forced values and activation from
-/// the good machine, cone evaluation with injection, flip-flop capture,
+/// Advances one batch by one pattern: forced values from the good
+/// machine, cone evaluation with injection, flip-flop capture,
 /// output observation, and detection recording — the same sequence, in the
 /// same order, as the serial reference. `prev` is the good machine at the
 /// previous pattern.
@@ -391,23 +390,19 @@ fn step_batch<F: Injectable>(
     out: &mut WorkerOut,
 ) {
     // `good` is a broadcast word (every lane equal), so each fault's forced
-    // value and activation can be read off bit 0. Lanes already detected in
-    // drop mode are neither counted nor observed again, so their forced
-    // values are left at 0.
+    // value can be read off bit 0. Lanes already detected in drop mode are
+    // not observed again, so their forced values are left at 0.
     let drop = ctx.config.drop_detected;
     let read = |n: usize| good[n];
     let before = |n: usize| prev[n];
     let mut forced = 0u64;
-    let mut activated = 0u32;
     for (lane0, (_, f)) in plan.faults.iter().enumerate() {
         let bit = 1u64 << (lane0 + 1);
         if drop && st.detected_mask & bit != 0 {
             continue;
         }
         forced |= f.forced(read, before) & bit;
-        activated += (f.activation(ctx.gates, read, before) & 1) as u32;
     }
-    out.activated[t] += activated;
 
     let vals = &mut st.vals;
     for &p in &plan.boundary {
@@ -490,8 +485,8 @@ fn step_batch<F: Injectable>(
 
 /// Runs one worker's contiguous batch range on the loop the backend
 /// selects. Both loops honor the same contract — detections per batch in
-/// serial `(pattern, lane)` order, exact per-pattern tallies — so the merge
-/// in [`simulate`] is backend-agnostic.
+/// serial `(pattern, lane)` order, exact per-pattern detection counts — so
+/// the merge in [`simulate`] is backend-agnostic.
 fn run_range<F: Injectable>(
     ctx: &Ctx<'_>,
     batches: &[Vec<(FaultId, F)>],
@@ -544,11 +539,9 @@ pub(crate) fn simulate<F: Injectable>(
         .copied()
         .filter(|&id| testable(id))
         .collect();
-    report.set_untestable((all_targets.len() - targets.len()) as u32);
 
     let backend = resolve_backend(config, netlist.is_combinational());
     let n_pat = patterns.len();
-    let mut activated_per_pattern = vec![0u32; n_pat];
     let mut detected_per_pattern = vec![0u32; n_pat];
     if obs.enabled() {
         run_span.arg("faults", targets.len());
@@ -556,7 +549,7 @@ pub(crate) fn simulate<F: Injectable>(
         run_span.arg("backend", backend);
         obs.add("fsim.runs", 1);
         obs.add("fsim.patterns", n_pat as u64);
-        obs.add("fsim.excluded", u64::from(report.untestable_count()));
+        obs.add("fsim.excluded", (all_targets.len() - targets.len()) as u64);
         if backend == SimBackend::Kernel {
             obs.add("fsim.kernel.runs", 1);
         }
@@ -625,12 +618,11 @@ pub(crate) fn simulate<F: Injectable>(
         // Merge. Serial detections are batch-major (the pattern loop nests
         // inside the batch loop), so replaying per-batch logs in global
         // batch order reproduces the serial report byte-for-byte;
-        // per-pattern tallies are exact integer sums and thus
+        // per-pattern detection counts are exact integer sums and thus
         // order-independent.
         for w in outs {
-            for t in 0..n_pat {
-                activated_per_pattern[t] += w.activated[t];
-                detected_per_pattern[t] += w.detected[t];
+            for (sum, d) in detected_per_pattern.iter_mut().zip(w.detected) {
+                *sum += d;
             }
             for batch_log in w.detections {
                 for (fid, cc, t) in batch_log {
@@ -641,22 +633,11 @@ pub(crate) fn simulate<F: Injectable>(
         }
     }
 
-    for t in 0..n_pat {
-        report.record_pattern(
-            patterns.cc(t),
-            activated_per_pattern[t],
-            detected_per_pattern[t],
-        );
+    for (t, &d) in detected_per_pattern.iter().enumerate() {
+        report.record_detected(patterns.cc(t), d);
     }
     if obs.enabled() {
-        obs.add(
-            "fsim.detections",
-            u64::from(detected_per_pattern.iter().sum::<u32>()),
-        );
-        obs.add(
-            "fsim.activations",
-            activated_per_pattern.iter().map(|&a| u64::from(a)).sum(),
-        );
+        obs.add("fsim.detections", u64::from(report.total_detected()));
     }
     report
 }

@@ -135,7 +135,7 @@ pub trait Injectable: Copy + Send + Sync {
     /// another, so the good machine determines the forced value exactly.
     fn sites(&self) -> impl IntoIterator<Item = FaultSite>;
 
-    /// The lanes in which the fault is activated: where the forced value
+    /// The lanes that activate the fault: where the forced value
     /// differs from a site's fault-free value.
     fn activation(
         &self,

@@ -35,11 +35,11 @@
 //! Two screens keep per-fault work near zero for inert blocks: an
 //! activation screen (a fault that changes no site value in a block cannot
 //! change anything) and the frontier itself (a pin fault whose effect is
-//! absorbed by the seed gate propagates nowhere). Detection, activation,
-//! and per-pattern tallies are extracted per pattern, and the per-batch
-//! detection log is sorted back into the serial `(pattern, lane)` order —
-//! making the report **bit-identical** to the event path (the equivalence
-//! suite asserts this).
+//! absorbed by the seed gate propagates nowhere). Detections and
+//! per-pattern detection counts are extracted per pattern, and the
+//! per-batch detection log is sorted back into the serial `(pattern,
+//! lane)` order — making the report **bit-identical** to the event path
+//! (the equivalence suite asserts this).
 //!
 //! Fault dropping maps naturally: a dropped fault simply stops after the
 //! block containing its first detection — the pattern-block analogue of the
@@ -420,15 +420,13 @@ fn propagate<const BW: usize, F: Injectable>(
     d_acc
 }
 
-/// Folds one evaluated block into the tallies and detection log, preserving
-/// the event path's exact semantics: activation is counted per pattern up
-/// to and including a dropped fault's detecting pattern; detections record
-/// only the first observation in drop mode, every observation otherwise.
-/// Both `d` and `a` arrive masked to the window's valid lanes.
-#[allow(clippy::too_many_arguments)]
+/// Folds one evaluated block's output diff `d` (masked to the window's
+/// valid lanes) into the detection counts and log, preserving the event
+/// path's exact semantics: counts record only the first observation in
+/// drop mode, every observation otherwise; the log records a fault's first
+/// detection either way.
 fn absorb_block<const BW: usize, F>(
     d: [u64; BW],
-    mut a: [u64; BW],
     run: &mut FaultRun<F>,
     base: usize,
     p0: usize,
@@ -446,24 +444,13 @@ fn absorb_block<const BW: usize, F>(
         }
         if let Some((hw, hb)) = hit {
             let t = p0 + (base + hw) * 64 + hb as usize;
-            // The fault is skipped from the pattern after its detection on:
-            // clip activation to bits <= the detecting pattern.
-            for aw in a.iter_mut().skip(hw + 1) {
-                *aw = 0;
-            }
-            a[hw] &= if hb == 63 { !0 } else { (1u64 << (hb + 1)) - 1 };
             run.detected_at = Some(t);
             det.push((t, run.lane, run.fid));
             out.detected[t] += 1;
         }
-        for (w, &aw) in a.iter().enumerate() {
-            tally_bits(aw, p0 + (base + w) * 64, &mut out.activated);
-        }
     } else {
-        for w in 0..BW {
-            let t_base = p0 + (base + w) * 64;
-            tally_bits(a[w], t_base, &mut out.activated);
-            tally_bits(d[w], t_base, &mut out.detected);
+        for (w, &dw) in d.iter().enumerate() {
+            tally_bits(dw, p0 + (base + w) * 64, &mut out.detected);
         }
         if run.detected_at.is_none() {
             for (w, &dw) in d.iter().enumerate() {
@@ -479,7 +466,7 @@ fn absorb_block<const BW: usize, F>(
 }
 
 /// Runs one block for one fault: activation screen, frontier propagation,
-/// tally/detection fold. Returns 1 if the cone was actually propagated.
+/// detection fold. Returns 1 if the cone was actually propagated.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn fault_block<const BW: usize, F: Injectable>(
@@ -494,20 +481,18 @@ fn fault_block<const BW: usize, F: Injectable>(
     gate_evals: &mut u64,
 ) -> u64 {
     // Activation screen: all-zero means the faulty machine is identical in
-    // this block — no detection, no activation, nothing to do.
-    let mut a = [0u64; BW];
+    // this block — no detection, nothing to do.
     let mut any = 0u64;
-    for (w, aw) in a.iter_mut().enumerate() {
+    for w in 0..BW {
         let word = |n: usize| win.good(n, base + w);
         let prev = |n: usize| win.prev(n, base + w);
-        *aw = run.fault.activation(ctx.gates, word, prev) & win.word_mask[base + w];
-        any |= *aw;
+        any |= run.fault.activation(ctx.gates, word, prev) & win.word_mask[base + w];
     }
     if any == 0 {
         return 0;
     }
     let d = propagate::<BW, F>(ctx, levels, fr, &run.fault, win, base, gate_evals);
-    absorb_block::<BW, F>(d, a, run, base, win.p0, ctx.config.drop_detected, out, det);
+    absorb_block::<BW, F>(d, run, base, win.p0, ctx.config.drop_detected, out, det);
     1
 }
 
@@ -515,9 +500,9 @@ fn fault_block<const BW: usize, F: Injectable>(
 /// contiguous range of batches over the whole pattern sequence, window by
 /// window, and returns the same per-batch detection logs (serial
 /// `(pattern, lane)` order within each batch) and exact per-pattern
-/// tallies. Blocks are `WIDE` words where a window has room for them and
-/// 64-bit remainders elsewhere; drop mode probes each fault's first `WIDE`
-/// words as narrow blocks before graduating it to wide ones.
+/// detection counts. Blocks are `WIDE` words where a window has room for
+/// them and 64-bit remainders elsewhere; drop mode probes each fault's
+/// first `WIDE` words as narrow blocks before graduating it to wide ones.
 pub(crate) fn run_batches_kernel<F: Injectable>(
     ctx: &Ctx<'_>,
     levels: &Levelization,
@@ -538,7 +523,6 @@ pub(crate) fn run_batches_kernel<F: Injectable>(
     let n_gates = ctx.gates.len();
     let mut out = WorkerOut {
         detections: Vec::with_capacity(batches.len()),
-        activated: vec![0u32; n_pat],
         detected: vec![0u32; n_pat],
     };
     let mut runs: Vec<Vec<FaultRun<F>>> = batches

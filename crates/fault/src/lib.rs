@@ -18,8 +18,10 @@
 //!   [`BridgeFault`]s and [`tdf::TransitionFault`]s), simulating
 //!   timestamped pattern sequences with a levelized pattern-parallel kernel
 //!   (combinational netlists) or a fault-parallel event path (63 faults + 1
-//!   good machine per machine word), and producing the per-cycle *Fault Sim
-//!   Report* the instruction-labeling stage consumes;
+//!   good machine per machine word), and producing the *Fault Sim Report*
+//!   ([`FaultSimReport`]): the `(fault, cc, pattern)` detection log the
+//!   evaluation stage reads and the per-cycle detection counts the
+//!   instruction-labeling stage queries;
 //! - [`fault_simulate_reference`] — the serial stuck-at oracle the engine
 //!   is tested against.
 //!
@@ -64,6 +66,6 @@ pub use bridge::{BridgeConfig, BridgeFault, BridgeKind, BridgeList, BridgeUniver
 pub use engine::host_parallelism;
 pub use fault::{Fault, FaultSite, Injectable, Polarity};
 pub use list::{FaultId, FaultList, FaultStatus};
-pub use report::{FaultSimReport, PatternStats};
+pub use report::FaultSimReport;
 pub use sim::{fault_simulate, fault_simulate_reference, FaultSimConfig, SimBackend, SimGuide};
 pub use universe::FaultUniverse;

@@ -6,11 +6,12 @@
 //!    the whole netlist per fault per assignment with the wired value
 //!    forced at both endpoints.
 //! 2. The engine's event and kernel loops are **bit-identical** on bridges
-//!    — same report (detections, stamps, tallies) and same list state — in
-//!    drop and non-drop mode, on random netlists and on a real module
-//!    across the kernel's pattern-window boundaries.
-//! 3. Non-drop per-pattern activation tallies equal the count of bridges
-//!    whose endpoint values differ under that assignment.
+//!    — same report (detections, stamps, per-cc counts) and same list
+//!    state — in drop and non-drop mode, on random netlists and on a real
+//!    module across the kernel's pattern-window boundaries.
+//! 3. A bridge's activation lanes are exactly the lanes where the wired
+//!    value differs from an endpoint's fault-free value, i.e. where the
+//!    endpoints differ — the condition the kernel's block screen skips on.
 
 use proptest::prelude::*;
 
@@ -21,8 +22,8 @@ use warpstl_netlist::Netlist;
 
 mod common;
 use common::{
-    assert_backends_agree, build_netlist, exhaustive, outputs_differ, pseudorandom_patterns,
-    scalar_eval,
+    assert_activation_marks_differing_sites, assert_backends_agree, build_netlist, exhaustive,
+    outputs_differ, pseudorandom_patterns, pseudorandom_values, scalar_eval,
 };
 
 /// The oracle: the first assignment (in 0..2^n order) at which forcing the
@@ -114,36 +115,20 @@ proptest! {
     }
 
     #[test]
-    fn non_drop_activation_counts_differing_endpoints(
-        n_inputs in 2usize..5,
+    fn bridge_activation_marks_differing_endpoints(
+        n_inputs in 2usize..6,
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             4..24,
         ),
         seed in any::<u64>(),
+        n_pat in 1usize..=64,
     ) {
         let netlist = build_netlist(n_inputs, &specs);
         let width = netlist.inputs().width();
         let universe = BridgeUniverse::sample(&netlist, &BridgeConfig { pairs: 16, seed });
-        let patterns = exhaustive(width);
-        let cfg = FaultSimConfig {
-            drop_detected: false,
-            early_exit: false,
-            threads: 1,
-            backend: SimBackend::Event,
-        };
-        let mut list = universe.new_list();
-        let report = fault_simulate(&netlist, &patterns, &mut list, &cfg, None, &SimGuide::default());
-
-        for (t, stats) in report.patterns().iter().enumerate() {
-            let good = scalar_eval(&netlist, t as u64, None);
-            let expected = universe
-                .faults()
-                .iter()
-                .filter(|f| good[f.a.index()] != good[f.b.index()])
-                .count() as u32;
-            prop_assert_eq!(stats.activated, expected, "pattern {}", t);
-        }
+        let values = pseudorandom_values(width, n_pat, seed | 1);
+        assert_activation_marks_differing_sites(&netlist, &values, universe.faults());
     }
 }
 

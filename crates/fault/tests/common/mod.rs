@@ -7,7 +7,9 @@
 
 use std::fmt::Display;
 
-use warpstl_fault::{fault_simulate, FaultList, FaultSimConfig, Injectable, SimBackend, SimGuide};
+use warpstl_fault::{
+    fault_simulate, FaultList, FaultSimConfig, FaultSite, Injectable, SimBackend, SimGuide,
+};
 use warpstl_netlist::{Builder, GateKind, NetId, Netlist, PatternSeq};
 
 /// One random gate: `kind` selects the operator, `a`/`b`/`c` pick
@@ -117,6 +119,64 @@ pub fn outputs_differ(netlist: &Netlist, good: &[bool], faulty: &[bool]) -> bool
         .nets()
         .iter()
         .any(|o| good[o.index()] != faulty[o.index()])
+}
+
+/// Checks [`Injectable::activation`] over pattern lanes: lane `l` applies
+/// `values[l]` (at most 64 of them) and launches from `values[l - 1]` (the
+/// first lane is its own predecessor). Each fault's activation lanes must
+/// be exactly the lanes where its forced value differs from the fault-free
+/// value at one of its sites — for a pin site, the value of the net
+/// driving the pin. That is the condition the kernel's block screen relies
+/// on: a block with no activation lane is skipped unsimulated.
+pub fn assert_activation_marks_differing_sites<F: Injectable + Display>(
+    netlist: &Netlist,
+    values: &[u64],
+    faults: &[F],
+) {
+    assert!(!values.is_empty() && values.len() <= 64);
+    let lanes = |assignments: &mut dyn Iterator<Item = u64>| {
+        let mut words = vec![0u64; netlist.gates().len()];
+        for (l, v) in assignments.enumerate() {
+            for (n, bit) in scalar_eval(netlist, v, None).into_iter().enumerate() {
+                words[n] |= u64::from(bit) << l;
+            }
+        }
+        words
+    };
+    let good = lanes(&mut values.iter().copied());
+    let before = &values[..values.len() - 1];
+    let prev = lanes(&mut std::iter::once(values[0]).chain(before.iter().copied()));
+    let mask = u64::MAX >> (64 - values.len());
+    let gates = netlist.gates();
+    for f in faults {
+        let activation = f.activation(gates, |n| good[n], |n| prev[n]) & mask;
+        let forced = f.forced(|n| good[n], |n| prev[n]);
+        let differs = f
+            .sites()
+            .into_iter()
+            .map(|site| match site {
+                FaultSite::Output(n) => good[n.index()],
+                FaultSite::InputPin(n, p) => good[gates[n.index()].pins[p as usize].index()],
+            })
+            .fold(0u64, |acc, site_good| acc | (forced ^ site_good))
+            & mask;
+        assert_eq!(
+            activation, differs,
+            "{f}: activation {activation:#x}, forced differs at {differs:#x}"
+        );
+    }
+}
+
+/// `count` xorshift assignments of `width` bits (`width < 64`).
+pub fn pseudorandom_values(width: usize, count: usize, mut seed: u64) -> Vec<u64> {
+    (0..count)
+        .map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed & ((1 << width) - 1)
+        })
+        .collect()
 }
 
 /// Simulates `patterns` on the event path and on the kernel, each from a

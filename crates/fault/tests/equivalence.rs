@@ -1,6 +1,6 @@
 //! Parallel/serial equivalence: the threaded, cone-pruned engine must
 //! produce **bit-identical** results to the serial reference — same
-//! `FaultSimReport` (per-pattern stats and detection log, cc-stamps
+//! `FaultSimReport` (per-cc detection counts and detection log, cc-stamps
 //! included), same fault-list state, same coverage — for every thread
 //! count, in drop and non-drop modes, on combinational and sequential
 //! netlists.

@@ -1,10 +1,14 @@
 //! Property: the levelized SoA batch kernel is **bit-identical** to the
 //! event path on random combinational netlists and random pattern
-//! sequences — same report (detections, stamps, tallies) and same fault
-//! list state — in drop and non-drop mode, and across pattern counts that
-//! exercise every block shape (narrow-only spans, exact wide blocks, wide
-//! blocks with a 64-bit remainder and a masked tail word) and the kernel's
-//! 1024-pattern window boundaries.
+//! sequences — same report (detections, stamps, per-cc counts) and same
+//! fault list state — in drop and non-drop mode, and across pattern counts
+//! that exercise every block shape (narrow-only spans, exact wide blocks,
+//! wide blocks with a 64-bit remainder and a masked tail word) and the
+//! kernel's 1024-pattern window boundaries.
+//!
+//! Its block screen skips a stuck-at fault in every block without an
+//! activation lane, so activation is checked directly too: the lanes where
+//! the stuck value differs from the site's fault-free value.
 
 use proptest::prelude::*;
 
@@ -13,7 +17,10 @@ use warpstl_fault::{
 };
 
 mod common;
-use common::{assert_backends_agree, build_netlist, pseudorandom_patterns};
+use common::{
+    assert_activation_marks_differing_sites, assert_backends_agree, build_netlist,
+    pseudorandom_patterns, pseudorandom_values,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -51,6 +58,22 @@ proptest! {
             event_list.to_report_text(),
             "list state diverged"
         );
+    }
+
+    #[test]
+    fn stuck_at_activation_marks_differing_sites(
+        n_inputs in 2usize..6,
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            4..48,
+        ),
+        seed in any::<u64>(),
+        n_pat in 1usize..=64,
+    ) {
+        let netlist = build_netlist(n_inputs, &specs);
+        let universe = FaultUniverse::enumerate(&netlist);
+        let values = pseudorandom_values(netlist.inputs().width(), n_pat, seed | 1);
+        assert_activation_marks_differing_sites(&netlist, &values, universe.faults());
     }
 }
 

@@ -10,6 +10,9 @@
 //!    of a real module across block shapes and the kernel's 1024-pattern
 //!    windows, whose first lane launches from the previous window's last
 //!    good value.
+//! 3. A transition fault's activation lanes are exactly its launch lanes,
+//!    where the stale value it forces differs from the fault-free value —
+//!    the condition the kernel's block screen skips on.
 
 use proptest::prelude::*;
 
@@ -19,7 +22,8 @@ use warpstl_netlist::{Netlist, PatternSeq};
 
 mod common;
 use common::{
-    assert_backends_agree, build_netlist, outputs_differ, pseudorandom_patterns, scalar_eval,
+    assert_activation_marks_differing_sites, assert_backends_agree, build_netlist, outputs_differ,
+    pseudorandom_patterns, pseudorandom_values, scalar_eval,
 };
 
 /// The oracle: the first pattern launching `f`'s transition at which the
@@ -60,15 +64,7 @@ proptest! {
     ) {
         let netlist = build_netlist(n_inputs, &specs);
         let width = netlist.inputs().width();
-        let mut x = seed | 1;
-        let values: Vec<u64> = (0..n_pat)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x & ((1 << width) - 1)
-            })
-            .collect();
+        let values = pseudorandom_values(width, n_pat, seed | 1);
         // Stamps differ from pattern indices so both are checked.
         let mut patterns = PatternSeq::new(width);
         for (t, &v) in values.iter().enumerate() {
@@ -100,11 +96,26 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn tdf_activation_marks_launch_lanes(
+        n_inputs in 2usize..6,
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            4..32,
+        ),
+        seed in any::<u64>(),
+        n_pat in 1usize..=64,
+    ) {
+        let netlist = build_netlist(n_inputs, &specs);
+        let values = pseudorandom_values(netlist.inputs().width(), n_pat, seed | 1);
+        assert_activation_marks_differing_sites(&netlist, &values, &tdf::enumerate(&netlist));
+    }
 }
 
 /// The event/kernel identity on the decoder unit's transition faults, in
-/// drop and non-drop mode (whose per-pattern activation tallies count
-/// every launch, so a wrong window carry shows at patterns 1024 and 2048),
+/// drop and non-drop mode (whose per-cc detection counts include every
+/// observation, so a wrong window carry shows at patterns 1024 and 2048),
 /// with threading in the mix.
 #[test]
 fn module_tdf_kernel_identity_across_windows() {

@@ -8,8 +8,8 @@
 //!   stays for the frozen perfbench replay, which times the gate through
 //!   [`cached_analyze`].
 //! - **Fsim stamps** — everything one fault-engine invocation produced:
-//!   the per-pattern report rows and the individual detection events,
-//!   which are exactly the stamps the engine marked on the fault list.
+//!   the report's per-cc detection counts and its detection events, which
+//!   are exactly the stamps the engine marked on the fault list.
 //!   Keyed by [`key_fsim`], which absorbs the entry fault-list state, so
 //!   replaying the events onto a list in that same state is bit-exact with
 //!   re-running the engine.
@@ -38,14 +38,12 @@ use crate::store::{EntryKind, Store};
 /// list in the entry state reproduces the list delta as well.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsimStamps {
-    /// Per-pattern `(cc, activated, detected)` report rows, in order.
-    pub patterns: Vec<(u64, u32, u32)>,
+    /// The report's nonzero `(cc, detections)` counts in cc order (non-drop
+    /// runs count every observation, which the events cannot rebuild).
+    pub by_cc: Vec<(u64, u32)>,
     /// Individual `(fault, cc, pattern)` detection events of the report,
     /// in the order the engine marked them on the fault list.
     pub report_detections: Vec<(usize, u64, usize)>,
-    /// Target faults the run pruned as statically untestable (the
-    /// report's untestable row).
-    pub untestable: u32,
 }
 
 impl FsimStamps {
@@ -53,10 +51,9 @@ impl FsimStamps {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.write_len(self.patterns.len());
-        for &(cc, activated, detected) in &self.patterns {
+        w.write_len(self.by_cc.len());
+        for &(cc, detected) in &self.by_cc {
             w.u64(cc);
-            w.u32(activated);
             w.u32(detected);
         }
         w.write_len(self.report_detections.len());
@@ -65,7 +62,6 @@ impl FsimStamps {
             w.u64(cc);
             w.write_len(pattern);
         }
-        w.u32(self.untestable);
         w.into_bytes()
     }
 
@@ -77,9 +73,9 @@ impl FsimStamps {
         if n > r.remaining() {
             return None;
         }
-        let mut patterns = Vec::with_capacity(n);
+        let mut by_cc = Vec::with_capacity(n);
         for _ in 0..n {
-            patterns.push((r.u64()?, r.u32()?, r.u32()?));
+            by_cc.push((r.u64()?, r.u32()?));
         }
         let n = r.read_len()?;
         if n > r.remaining() {
@@ -89,21 +85,20 @@ impl FsimStamps {
         for _ in 0..n {
             report_detections.push((r.read_len()?, r.u64()?, r.read_len()?));
         }
-        let untestable = r.u32()?;
         r.at_end().then_some(FsimStamps {
-            patterns,
+            by_cc,
             report_detections,
-            untestable,
         })
     }
 
-    /// Whether every fault id referenced is below `fault_count` (replay
-    /// over the wrong list would otherwise index out of bounds).
+    /// Whether every event names a fault below `fault_count` and a row of
+    /// `patterns` stamped with its cc (replay would otherwise index out of
+    /// bounds, here or in the stages that map stamps back to rows).
     #[must_use]
-    pub fn bounded_by(&self, fault_count: usize) -> bool {
-        self.report_detections
-            .iter()
-            .all(|&(fault, _, _)| fault < fault_count)
+    pub fn bounded_by(&self, fault_count: usize, patterns: &PatternSeq) -> bool {
+        self.report_detections.iter().all(|&(fault, cc, pattern)| {
+            fault < fault_count && pattern < patterns.len() && patterns.cc(pattern) == cc
+        })
     }
 
     /// Captures the stamps of a just-finished engine run from its report.
@@ -112,13 +107,8 @@ impl FsimStamps {
     #[must_use]
     pub fn capture(report: &FaultSimReport) -> FsimStamps {
         FsimStamps {
-            patterns: report
-                .patterns()
-                .iter()
-                .map(|p| (p.cc, p.activated, p.detected))
-                .collect(),
+            by_cc: report.detected_by_cc().collect(),
             report_detections: report.detections().to_vec(),
-            untestable: report.untestable_count(),
         }
     }
 
@@ -129,14 +119,13 @@ impl FsimStamps {
     pub fn replay<F>(&self, list: &mut FaultList<F>) -> FaultSimReport {
         list.begin_run();
         let mut report = FaultSimReport::new();
-        for &(cc, activated, detected) in &self.patterns {
-            report.record_pattern(cc, activated, detected);
+        for &(cc, detected) in &self.by_cc {
+            report.record_detected(cc, detected);
         }
         for &(fault, cc, pattern) in &self.report_detections {
             list.mark_detected(fault, cc, pattern);
             report.record_detection(fault, cc, pattern);
         }
-        report.set_untestable(self.untestable);
         report
     }
 }
@@ -235,13 +224,19 @@ impl Store {
         self.put(EntryKind::Analysis, key, &encode_analysis(report), obs);
     }
 
-    /// Looks up cached fsim stamps; `fault_count` bounds the fault ids a
-    /// valid entry may reference (out-of-range entries are demoted to
-    /// corrupt misses rather than trusted into a replay).
+    /// Looks up cached fsim stamps; entries that do not fit `fault_count`
+    /// and `patterns` ([`FsimStamps::bounded_by`]) are demoted to corrupt
+    /// misses rather than trusted into a replay.
     #[must_use]
-    pub fn get_stamps(&self, key: Key, fault_count: usize, obs: Obs<'_>) -> Option<FsimStamps> {
+    pub fn get_stamps(
+        &self,
+        key: Key,
+        fault_count: usize,
+        patterns: &PatternSeq,
+        obs: Obs<'_>,
+    ) -> Option<FsimStamps> {
         let payload = self.get_verified(EntryKind::FsimStamps, key, obs)?;
-        match FsimStamps::decode(&payload).filter(|s| s.bounded_by(fault_count)) {
+        match FsimStamps::decode(&payload).filter(|s| s.bounded_by(fault_count, patterns)) {
             Some(stamps) => {
                 self.note_hit(obs);
                 Some(stamps)
@@ -324,7 +319,7 @@ pub fn cached_fault_sim(
         return fault_simulate(netlist, patterns, list, config, obs, guide);
     };
     let key = key_fsim(cache.netlist_key, patterns, list, config, guide);
-    if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
+    if let Some(stamps) = store.get_stamps(key, list.len(), patterns, obs) {
         let _span = obs.span("store", "store.replay");
         return stamps.replay(list);
     }
@@ -350,7 +345,7 @@ pub fn cached_bridge_sim(
         return fault_simulate(netlist, patterns, list, config, obs, &SimGuide::default());
     };
     let key = key_bridge_sim(cache.netlist_key, patterns, list, config);
-    if let Some(stamps) = store.get_stamps(key, list.len(), obs) {
+    if let Some(stamps) = store.get_stamps(key, list.len(), patterns, obs) {
         let _span = obs.span("store", "store.replay");
         return stamps.replay(list);
     }
@@ -404,14 +399,16 @@ mod tests {
     #[test]
     fn stamps_codec_round_trips() {
         let stamps = FsimStamps {
-            patterns: vec![(10, 4, 1), (11, 0, 0)],
+            by_cc: vec![(10, 1), (11, 2)],
             report_detections: vec![(3, 10, 0), (5, 11, 1)],
-            untestable: 2,
         };
         let decoded = FsimStamps::decode(&stamps.encode()).unwrap();
         assert_eq!(decoded, stamps);
-        assert!(decoded.bounded_by(6));
-        assert!(!decoded.bounded_by(5));
+        let mut patterns = PatternSeq::new(1);
+        patterns.push_value(10, 0);
+        patterns.push_value(11, 1);
+        assert!(decoded.bounded_by(6, &patterns));
+        assert!(!decoded.bounded_by(5, &patterns));
         // Truncated payloads decode to None, never panic.
         let bytes = stamps.encode();
         for cut in 0..bytes.len() {
@@ -449,14 +446,33 @@ mod tests {
         assert_eq!(decoded, report);
     }
 
+    /// The default config and its non-dropping twin. Non-dropping runs
+    /// count every observation, so their per-cc counts exceed the events
+    /// and only the payload's counts can restore them.
+    fn drop_and_non_drop() -> [FaultSimConfig; 2] {
+        [
+            FaultSimConfig::default(),
+            FaultSimConfig {
+                drop_detected: false,
+                early_exit: false,
+                ..FaultSimConfig::default()
+            },
+        ]
+    }
+
     #[test]
     fn cached_fault_sim_warm_replay_is_bit_identical() {
+        for config in drop_and_non_drop() {
+            fault_sim_warm_replay_is_bit_identical(&config);
+        }
+    }
+
+    fn fault_sim_warm_replay_is_bit_identical(config: &FaultSimConfig) {
         let netlist = build_netlist();
         let universe = FaultUniverse::enumerate(&netlist);
         let patterns = patterns_for(&netlist, 6);
-        let config = FaultSimConfig::default();
         let guide = SimGuide::default();
-        let store = temp_store("warm");
+        let store = temp_store(&format!("warm-{}", config.drop_detected));
         let cache = CacheCtx {
             store: Some(&store),
             netlist_key: crate::hash::key_netlist(&netlist),
@@ -468,7 +484,7 @@ mod tests {
             &netlist,
             &patterns,
             &mut cold_list,
-            &config,
+            config,
             None,
             &guide,
         );
@@ -480,7 +496,7 @@ mod tests {
             &netlist,
             &patterns,
             &mut warm_list,
-            &config,
+            config,
             Some(&rec),
             &guide,
         );
@@ -488,6 +504,9 @@ mod tests {
         assert_eq!(warm_list.to_report_text(), cold_list.to_report_text());
         assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
         assert!(rec.spans().iter().any(|s| s.name == "store.replay"));
+        if !config.drop_detected {
+            assert!(cold.total_detected() as usize > cold.detections().len());
+        }
 
         // A different entry list state (one fault pre-detected) keys
         // differently and misses.
@@ -500,7 +519,7 @@ mod tests {
             &netlist,
             &patterns,
             &mut other_list,
-            &config,
+            config,
             Some(&rec2),
             &guide,
         );
@@ -560,20 +579,25 @@ mod tests {
 
     #[test]
     fn cached_bridge_sim_warm_replay_is_bit_identical() {
+        for config in drop_and_non_drop() {
+            bridge_sim_warm_replay_is_bit_identical(&config);
+        }
+    }
+
+    fn bridge_sim_warm_replay_is_bit_identical(config: &FaultSimConfig) {
         use warpstl_fault::{BridgeConfig, BridgeUniverse};
         let netlist = build_netlist();
         let universe = BridgeUniverse::sample(&netlist, &BridgeConfig::default());
         assert!(!universe.is_empty());
         let patterns = patterns_for(&netlist, 6);
-        let config = FaultSimConfig::default();
-        let store = temp_store("bridge-warm");
+        let store = temp_store(&format!("bridge-warm-{}", config.drop_detected));
         let cache = CacheCtx {
             store: Some(&store),
             netlist_key: crate::hash::key_netlist(&netlist),
         };
 
         let mut cold_list = universe.new_list();
-        let cold = cached_bridge_sim(cache, &netlist, &patterns, &mut cold_list, &config, None);
+        let cold = cached_bridge_sim(cache, &netlist, &patterns, &mut cold_list, config, None);
 
         let rec = Recorder::new();
         let mut warm_list = universe.new_list();
@@ -582,12 +606,15 @@ mod tests {
             &netlist,
             &patterns,
             &mut warm_list,
-            &config,
+            config,
             Some(&rec),
         );
         assert_eq!(warm, cold);
         assert_eq!(warm_list.to_report_text(), cold_list.to_report_text());
         assert_eq!(rec.metrics().counter(names::CACHE_HIT), 1);
+        if !config.drop_detected {
+            assert!(cold.total_detected() as usize > cold.detections().len());
+        }
 
         // A stuck-at run over the same netlist/patterns/config must miss:
         // the model tag domain-separates the key spaces.
@@ -599,7 +626,7 @@ mod tests {
             &netlist,
             &patterns,
             &mut sa_list,
-            &config,
+            config,
             Some(&rec2),
             &SimGuide::default(),
         );
@@ -664,18 +691,33 @@ mod tests {
     #[test]
     fn out_of_bounds_stamps_demote_to_corrupt_miss() {
         let store = temp_store("bounds");
-        let key = Key(5);
-        let stamps = FsimStamps {
-            patterns: vec![(1, 1, 1)],
-            report_detections: vec![(99, 1, 0)],
-            untestable: 0,
-        };
-        store.put_stamps(key, &stamps, None);
-        let rec = Recorder::new();
-        assert_eq!(store.get_stamps(key, 10, Some(&rec)), None);
-        assert_eq!(rec.metrics().counter(names::CACHE_MISS_CORRUPT), 1);
-        // With a large enough universe the same entry is valid.
-        assert_eq!(store.get_stamps(key, 100, None), Some(stamps));
+        let mut patterns = PatternSeq::new(1);
+        patterns.push_value(1, 0);
+        patterns.push_value(4, 1);
+        let cases = [
+            // A fault id beyond the universe.
+            ((99, 1, 0), 10, false),
+            // A pattern index beyond the stream.
+            ((3, 1, 2), 10, false),
+            // A cc that is not the stamp of the pattern it names.
+            ((3, 4, 0), 10, false),
+            // The same events within a large enough run are valid.
+            ((99, 1, 0), 100, true),
+            ((3, 4, 1), 10, true),
+        ];
+        for (k, (event, fault_count, valid)) in cases.into_iter().enumerate() {
+            let key = Key(k as u128);
+            let stamps = FsimStamps {
+                by_cc: vec![(event.1, 1)],
+                report_detections: vec![event],
+            };
+            store.put_stamps(key, &stamps, None);
+            let rec = Recorder::new();
+            let got = store.get_stamps(key, fault_count, &patterns, Some(&rec));
+            assert_eq!(got, valid.then_some(stamps), "{event:?}");
+            let corrupt = rec.metrics().counter(names::CACHE_MISS_CORRUPT);
+            assert_eq!(corrupt, u64::from(!valid), "{event:?}");
+        }
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

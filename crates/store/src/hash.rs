@@ -31,8 +31,9 @@ use warpstl_netlist::{GateKind, Netlist, PatternSeq};
 use warpstl_programs::serialize::ptp_to_text;
 use warpstl_programs::Ptp;
 
-/// Bump when the fault engine's *observable semantics* change (detection
-/// stamps, report rows): old fsim-stamp entries then miss by key.
+/// Bump when the fault engine's *observable semantics* or the fsim-stamp
+/// payload change (detection stamps, report counts): old fsim-stamp
+/// entries then miss by key.
 /// v2: the guide's untestable bitmap prunes targets (pattern tallies and
 /// the report's untestable row change with it).
 /// v3: a fault-model tag domain-separates stuck-at from bridging entries
@@ -41,7 +42,10 @@ use warpstl_programs::Ptp;
 /// ordering keys are gone (dominated classes are simulated directly, which
 /// changes their stamps and the activation tallies), and with them the
 /// two guide flags in [`key_fsim`].
-pub const FSIM_SCHEMA: u32 = 4;
+/// v5: the report keeps only its detection events and per-cc detection
+/// counts; the payload drops the per-pattern activation rows and the
+/// untestable row, which no stage read.
+pub const FSIM_SCHEMA: u32 = 5;
 
 /// Bump when the netlist analyzer's rules or report shape change.
 /// v2: implication-engine counts and the `redundant-logic` rule.
@@ -307,8 +311,8 @@ pub fn key_fsim(
     h.bool(config.drop_detected);
     h.bool(config.early_exit);
     // The untestable bitmap changes the target set, and with it the
-    // per-pattern tallies and the report's untestable row — so, unlike
-    // `levels`, its *content* is key material.
+    // detection events and counts — so, unlike `levels`, its *content* is
+    // key material.
     h.bool(guide.untestable.is_some());
     if let Some(unt) = guide.untestable {
         h.len(unt.len());

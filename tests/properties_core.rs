@@ -66,7 +66,7 @@ fn labels_for(
     let mut report = FaultSimReport::new();
     for (i, rec) in run.trace.records().iter().enumerate() {
         if (detect_mask >> (i % 64)) & 1 == 1 {
-            report.record_pattern(rec.cc_start, 1, 1);
+            report.record_detected(rec.cc_start, 1);
         }
     }
     let labels = label_instructions(ptp.program.len(), &run.trace, &report);
